@@ -1,16 +1,16 @@
 """Buchberger's algorithm over field coefficients, with optional cofactor
 tracking so ideal membership can return an explicit witness.
 
-Pair selection is the normal strategy (least lcm under the ordering); pairs
-are skipped by the coprime-leading-monomial criterion and the chain
-criterion.  The returned basis is reduced (minimal, inter-reduced, monic,
-sorted by ascending leading monomial), hence canonical for the ideal and
-ordering.
+Pair selection is the normal strategy (least lcm under the ordering, ties to
+the least index pair); each pair's lcm and its ordering key are computed
+once, when the pair is formed.  Pairs are skipped by the coprime-leading-
+monomial criterion and the chain criterion.  The returned basis is reduced
+(minimal, inter-reduced, monic, sorted by ascending leading monomial), hence
+canonical for the ideal and ordering.
 """
 
 from __future__ import annotations
 
-import functools
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -118,19 +118,19 @@ def buchberger(
             reps.append(_rep_unit(field, n_gens, k))
 
     leads = [leading_term(g, ordering) for g in basis]
-    pending = {(i, j) for i, j in combinations(range(len(basis)), 2)}
+    # (i, j) -> (ordering key of the lcm, lcm) of the pair's leading monomials.
+    pending: dict[tuple[int, int], tuple[tuple, Monomial]] = {}
 
+    def add_pairs(pairs) -> None:
+        for i, j in pairs:
+            lcm = leads[i][0].lcm(leads[j][0])
+            pending[i, j] = (ordering.key(lcm), lcm)
+
+    add_pairs(combinations(range(len(basis)), 2))
     while pending:
-        best = None
-        best_lcm = None
-        for i, j in pending:
-            l = leads[i][0].lcm(leads[j][0])
-            if best is None or ordering.compare(l, best_lcm) < 0 or (
-                ordering.compare(l, best_lcm) == 0 and (i, j) < best
-            ):
-                best, best_lcm = (i, j), l
+        best = min(pending, key=lambda p: (pending[p][0], p))
+        best_lcm = pending.pop(best)[1]
         i, j = best
-        pending.discard(best)
         lm_i, lm_j = leads[i][0], leads[j][0]
         if best_lcm == lm_i * lm_j:
             continue  # coprime leading monomials reduce to zero
@@ -167,7 +167,7 @@ def buchberger(
         new_index = len(basis)
         basis.append(r)
         leads.append(leading_term(r, ordering))
-        pending.update((k, new_index) for k in range(new_index))
+        add_pairs((k, new_index) for k in range(new_index))
 
     return _reduce_basis(basis, reps if track else None, gens, ordering, field, track)
 
@@ -220,21 +220,12 @@ def _reduce_basis(
             if track:
                 kept_reps[i] = [c.scale(inv) for c in kept_reps[i]]
 
-    final = sorted(range(len(polys)), key=lambda k: _sort_key(polys[k], ordering))
+    lead_key = lambda k: ordering.key(leading_term(polys[k], ordering)[0])
+    final = sorted(range(len(polys)), key=lead_key)
     polys = [polys[k] for k in final]
     if track:
         kept_reps = [kept_reps[k] for k in final]
     return GroebnerBasis(field, ordering, polys, gens if track else None, kept_reps)
-
-
-def _sort_key(g: Polynomial, ordering: MonomialOrdering):
-    return functools.cmp_to_key(ordering.compare)(leading_term(g, ordering)[0])
-
-
-def groebner_basis(
-    gens: Sequence[Polynomial], ordering: MonomialOrdering, field, track: bool = False
-) -> GroebnerBasis:
-    return buchberger(gens, ordering, field, track)
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:

@@ -27,7 +27,7 @@ from .dependence import (
     search_submonic_relation,
     verify_certificate,
 )
-from .errors import ResourceCapExceeded, TrdegError
+from .errors import InternalInconsistencyError, ResourceCapExceeded, TrdegError
 from .groebner import staircase_dimension_from_gb
 from .monomials import monomials_up_to_degree
 from .orderings import GrevLex, MonomialOrdering, ordering_from_text
@@ -269,12 +269,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 cert = outcome.certificate
                 if not verify_certificate(cert):
                     raise AssertionError(f"trial {index} produced a bad certificate")
-            else:
-                assert isinstance(outcome, NoRelationUpTo)
+            elif isinstance(outcome, NoRelationUpTo):
                 verdict = "unresolved"
+            else:
+                raise InternalInconsistencyError(f"trial {index}: unknown outcome {outcome!r}")
         millis = (time.perf_counter() - start) * 1000.0
         records.append(TrialRecord(index, elements, verdict, cert, millis))
     report = ExperimentReport(spec, records)
     counts = report.summary
-    assert sum(counts.values()) == spec.trials
+    if sum(counts.values()) != spec.trials:
+        raise InternalInconsistencyError(
+            f"verdict counts {counts} do not add up to {spec.trials} trials"
+        )
     return report

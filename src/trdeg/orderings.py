@@ -1,15 +1,22 @@
 """Global monomial orderings and weight separation.
 
 Every ordering here satisfies the global-ordering axioms: it is a total order
-on monomials, 1 is least, and s < t implies s*u < t*u.  Lex, GrLex and
-GrevLex take an optional priority permutation of a prefix x1..xk; variables
-beyond the declared prefix compare after all declared ones, among themselves
-by ascending index, so each ordering extends to arbitrarily many variables.
+on monomials, 1 is least, and s < t implies s*u < t*u.  Each ordering is given
+by one sort key: s < t exactly when key(s) < key(t) as Python tuples, and
+comparing, sorting, min and max all derive from that key.
+
+Lex, GrLex and GrevLex take an optional priority permutation of a prefix
+x1..xk.  Variables beyond the declared prefix rank after all declared ones,
+among themselves by ascending index, so each ordering extends to arbitrarily
+many variables: under Lex and GrLex a monomial that reaches a later variable
+is greater on a tie of the earlier ones, and under GrevLex, at equal degree,
+the monomial whose last variable is later is smaller.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -19,31 +26,38 @@ from .polynomials import Polynomial, trailing_term
 
 
 class MonomialOrdering:
-    def compare(self, s: Monomial, t: Monomial) -> int:
-        """-1, 0 or 1 as s <, ==, > t."""
+    """A global monomial ordering, defined by its sort key.
+
+    Subclasses define key(m), a tuple with s < t exactly when
+    key(s) < key(t); comparison, sorting, min and max follow from it.
+    """
+
+    def key(self, m: Monomial) -> tuple:
         raise NotImplementedError
 
+    def compare(self, s: Monomial, t: Monomial) -> int:
+        """-1, 0 or 1 as s <, ==, > t."""
+        ks, kt = self.key(s), self.key(t)
+        return (ks > kt) - (ks < kt)
+
     def less(self, s: Monomial, t: Monomial) -> bool:
-        return self.compare(s, t) < 0
+        return self.key(s) < self.key(t)
 
     def sort(self, monomials: Iterable[Monomial]) -> list[Monomial]:
         """Ascending: least monomial first."""
-        return sorted(monomials, key=functools.cmp_to_key(self.compare))
+        return sorted(monomials, key=self.key)
 
     def min(self, monomials: Iterable[Monomial]) -> Monomial:
-        return functools.reduce(lambda a, b: b if self.compare(b, a) < 0 else a, monomials)
+        return min(monomials, key=self.key)
 
     def max(self, monomials: Iterable[Monomial]) -> Monomial:
-        return functools.reduce(lambda a, b: b if self.compare(b, a) > 0 else a, monomials)
+        return max(monomials, key=self.key)
 
     def to_text(self) -> str:
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.to_text()
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
 
 def _check_priority(priority: Sequence[int]) -> tuple[int, ...]:
@@ -59,11 +73,19 @@ class _PriorityOrdering(MonomialOrdering):
     def __init__(self, priority: Sequence[int] = ()):
         self.priority = _check_priority(priority)
 
-    def _sequence(self, s: Monomial, t: Monomial) -> list[int]:
-        upto = max(s.max_index(), t.max_index())
-        seq = list(self.priority)
-        seq.extend(range(len(self.priority) + 1, upto + 1))
-        return seq
+    def _exponents(self, m: Monomial) -> list[int]:
+        """Exponents of x(p1)..x(pk), then of x(k+1) up to m's last variable.
+
+        The list has length max(k, m.max_index()), so when it runs past the
+        prefix its last entry is nonzero and a shorter list is a lesser one.
+        """
+        k = len(self.priority)
+        exps = [0] * max(k, m.max_index())
+        for i, e in m.exps:
+            exps[i - 1] = e
+        if k:
+            exps[:k] = [exps[p - 1] for p in self.priority]
+        return exps
 
     def to_text(self) -> str:
         if not self.priority:
@@ -80,46 +102,27 @@ class _PriorityOrdering(MonomialOrdering):
 class Lex(_PriorityOrdering):
     name = "lex"
 
-    def compare(self, s: Monomial, t: Monomial) -> int:
-        if s.exps == t.exps:
-            return 0
-        for i in self._sequence(s, t):
-            es, et = s.exponent(i), t.exponent(i)
-            if es != et:
-                return 1 if es > et else -1
-        return 0
+    def key(self, m: Monomial) -> tuple:
+        return tuple(self._exponents(m))
 
 
 class GrLex(_PriorityOrdering):
     name = "grlex"
 
-    def compare(self, s: Monomial, t: Monomial) -> int:
-        if s.degree != t.degree:
-            return 1 if s.degree > t.degree else -1
-        if s.exps == t.exps:
-            return 0
-        for i in self._sequence(s, t):
-            es, et = s.exponent(i), t.exponent(i)
-            if es != et:
-                return 1 if es > et else -1
-        return 0
+    def key(self, m: Monomial) -> tuple:
+        return (m.degree, tuple(self._exponents(m)))
 
 
 class GrevLex(_PriorityOrdering):
     name = "grevlex"
 
-    def compare(self, s: Monomial, t: Monomial) -> int:
-        if s.degree != t.degree:
-            return 1 if s.degree > t.degree else -1
-        if s.exps == t.exps:
-            return 0
+    def key(self, m: Monomial) -> tuple:
         # Equal degree: the last position where they differ decides, and the
-        # monomial with the smaller exponent there is the greater one.
-        for i in reversed(self._sequence(s, t)):
-            es, et = s.exponent(i), t.exponent(i)
-            if es != et:
-                return 1 if es < et else -1
-        return 0
+        # monomial with the smaller exponent there is the greater one.  A
+        # longer exponent list has a nonzero entry where the shorter one has
+        # none, so it ranks lower.
+        exps = self._exponents(m)
+        return (m.degree, len(self.priority) - len(exps), tuple(-e for e in reversed(exps)))
 
 
 class WeightedLex(MonomialOrdering):
@@ -145,11 +148,8 @@ class WeightedLex(MonomialOrdering):
             total += w * e
         return total
 
-    def compare(self, s: Monomial, t: Monomial) -> int:
-        ws, wt = self.weight(s), self.weight(t)
-        if ws != wt:
-            return 1 if ws > wt else -1
-        return self.tiebreak.compare(s, t)
+    def key(self, m: Monomial) -> tuple:
+        return (self.weight(m), self.tiebreak.key(m))
 
     def to_text(self) -> str:
         body = ",".join(str(w) for w in self.weights)
@@ -173,8 +173,9 @@ class MatrixOrder(MonomialOrdering):
 
     Construction enforces the global axioms: the first nonzero entry of every
     column must be positive (so 1 is least) and the columns must be linearly
-    independent over Q (so the order is total).  Monomials mentioning a
-    variable beyond the declared columns are rejected at comparison time.
+    independent over Q (so the order is total).  A monomial mentioning a
+    variable beyond the declared columns has no key: key, and with it every
+    comparison or sort involving it, raises ValueError.
     """
 
     def __init__(self, rows: Sequence[Sequence]):
@@ -196,23 +197,12 @@ class MatrixOrder(MonomialOrdering):
         self.rows = mat
         self.ncols = ncols
 
-    def compare(self, s: Monomial, t: Monomial) -> int:
-        if s.exps == t.exps:
-            return 0
-        upto = max(s.max_index(), t.max_index())
-        if upto > self.ncols:
+    def key(self, m: Monomial) -> tuple:
+        if m.max_index() > self.ncols:
             raise ValueError(
-                f"monomial uses x{upto} but the ordering matrix has {self.ncols} columns"
+                f"monomial uses x{m.max_index()} but the ordering matrix has {self.ncols} columns"
             )
-        for row in self.rows:
-            d = Fraction(0)
-            for i, e in s:
-                d += row[i - 1] * e
-            for i, e in t:
-                d -= row[i - 1] * e
-            if d != 0:
-                return 1 if d > 0 else -1
-        return 0
+        return tuple(sum(row[i - 1] * e for i, e in m) for row in self.rows)
 
     def to_text(self) -> str:
         body = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in self.rows)
@@ -283,9 +273,7 @@ def is_weight_graded(ordering: MonomialOrdering, nvars: int) -> Optional[tuple[i
 
 
 def _scale_to_integers(ws: list[Fraction]) -> tuple[int, ...]:
-    scale = 1
-    for w in ws:
-        scale = scale * w.denominator // _gcd(scale, w.denominator)
+    scale = math.lcm(*(w.denominator for w in ws))
     return tuple(int(w * scale) for w in ws)
 
 
@@ -296,10 +284,6 @@ def ordering_from_text(text: str) -> MonomialOrdering:
     ":x2>x1"; "wlex:2,3" with positive rational weights (optional priority as
     a second suffix); "matrix:[[1,1],[1,0]]" with rational entries.
     """
-    import re
-
-    from .errors import ParseError
-
     s = text.strip()
     m = re.fullmatch(r"(lex|grlex|grevlex)(?::([xX\d>\s]+))?", s)
     if m:
@@ -368,10 +352,7 @@ def separating_weights(
             "no separating weights exist although the ordering ranks the "
             "monomials strictly; global orderings make this impossible"
         )
-    scale = 1
-    for w in rational:
-        scale = scale * w.denominator // _gcd(scale, w.denominator)
-    upper = max(int(w * scale) for w in rational)
+    upper = max(_scale_to_integers(rational))
 
     lo, hi = 1, upper
     while lo < hi:
@@ -384,12 +365,6 @@ def separating_weights(
     if found is None:
         raise InternalInconsistencyError("integer refinement lost feasibility")
     return tuple(found)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _fourier_motzkin_point(deltas: list[list[int]], n: int) -> Optional[list[Fraction]]:

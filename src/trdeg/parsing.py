@@ -19,7 +19,6 @@ Ring descriptors:
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 
@@ -276,9 +275,7 @@ def poly_to_text(p: Polynomial, ring: PolyRing) -> str:
     """Canonical text: terms descending under natural-priority grevlex."""
     if p.is_zero():
         return "0"
-    monomials = sorted(
-        p.terms, key=functools.cmp_to_key(_PRINT_ORDER.compare), reverse=True
-    )
+    monomials = sorted(p.terms, key=_PRINT_ORDER.key, reverse=True)
     pieces = []
     for m in monomials:
         c = p.terms[m]

@@ -101,7 +101,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset((m, _freeze(c)) for m, c in self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -110,19 +110,11 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def _freeze(c):
-    # Coefficients are ints, Fractions, or Polynomials; all hashable as-is.
-    return c
-
-
 def leading_term(f: Polynomial, ordering) -> tuple[Monomial, object]:
     """(monomial, coefficient) of the ordering-greatest monomial of f != 0."""
     if f.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    best = None
-    for m in f.terms:
-        if best is None or ordering.compare(m, best) > 0:
-            best = m
+    best = max(f.terms, key=ordering.key)
     return best, f.terms[best]
 
 
@@ -130,10 +122,7 @@ def trailing_term(f: Polynomial, ordering) -> tuple[Monomial, object]:
     """(monomial, coefficient) of the ordering-least monomial of f != 0."""
     if f.is_zero():
         raise ValueError("zero polynomial has no trailing term")
-    best = None
-    for m in f.terms:
-        if best is None or ordering.compare(m, best) < 0:
-            best = m
+    best = min(f.terms, key=ordering.key)
     return best, f.terms[best]
 
 

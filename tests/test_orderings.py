@@ -82,6 +82,20 @@ class TestPinnedComparisons:
         mo = MatrixOrder([[1, 1], [1, 0]])
         with pytest.raises(ValueError):
             mo.compare(m((3, 1)), ONE)
+        with pytest.raises(ValueError):
+            mo.key(m((3, 1)))
+        with pytest.raises(ValueError):
+            mo.sort([ONE, m((3, 1))])
+
+    @pytest.mark.parametrize("ordering", [Lex((2, 1)), GrLex((2, 1)), GrevLex((2, 1))], ids=str)
+    def test_variables_beyond_priority_prefix(self, ordering):
+        x1, x3, x4 = m((1, 1)), m((3, 1)), m((4, 1))
+        assert ordering.compare(x3, x1) == -1
+        assert ordering.compare(x4, x3) == -1
+        assert ordering.compare(m((1, 1), (4, 1)), m((2, 1), (3, 1))) == -1
+        # Lex and GrLex reach x1 before x3 and x4; GrevLex looks at x4 first.
+        expected = 1 if isinstance(ordering, GrevLex) else -1
+        assert ordering.compare(m((3, 2)), m((1, 1), (4, 1))) == expected
 
     def test_priority_validation(self):
         with pytest.raises(ValueError):
@@ -90,8 +104,14 @@ class TestPinnedComparisons:
             Lex((0, 1))
 
 
+# Partial priorities exercise the rule for variables beyond the declared prefix.
+BEYOND_PREFIX = [Lex((2, 1)), GrLex((3, 1, 2)), GrevLex((2, 1)), GrevLex()]
+
+
 class TestAxioms:
-    @pytest.mark.parametrize("ordering", ordering_families(5), ids=lambda o: o.to_text())
+    @pytest.mark.parametrize(
+        "ordering", ordering_families(5) + BEYOND_PREFIX, ids=lambda o: o.to_text()
+    )
     def test_global_ordering_axioms(self, ordering):
         rng = random.Random(ordering.to_text())
         assert check_ordering_axioms(ordering, rng, 1500) == 1500
