@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ResourceCapExceeded, UnsupportedConfigError
+from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import membership_cofactors
 from .intmath import ext_gcd
 from .linalg import FieldEchelon, IntLattice, solve_in_span
@@ -343,7 +343,7 @@ def _search_span(
     above = mons[hit + 1 :]
     coeffs = solve_in_span(vecs[hit], vecs[hit + 1 :], scalars)
     if coeffs is None:
-        raise AssertionError("incremental membership disagreed with the span solver")
+        raise InternalInconsistencyError("incremental membership disagreed with the span solver")
     r = config.coeff_ring
     terms = {mons[hit]: r.one()}
     for s, c in zip(above, coeffs):
@@ -403,7 +403,7 @@ def _package(
     )
     reason = check_certificate(cert)
     if reason is not None:
-        raise AssertionError(f"search produced an invalid certificate: {reason}")
+        raise InternalInconsistencyError(f"search produced an invalid certificate: {reason}")
     cert.verified = True
     return Dependent(cert)
 
@@ -448,7 +448,7 @@ def pid_pair_certificate(a: int, b: int) -> SubmonicCertificate:
     )
     reason = check_certificate(cert)
     if reason is not None:
-        raise AssertionError(f"pid construction failed: {reason}")
+        raise InternalInconsistencyError(f"pid construction failed: {reason}")
     cert.verified = True
     return cert
 

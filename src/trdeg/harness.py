@@ -25,7 +25,6 @@ from .dependence import (
     NoRelationUpTo,
     SubmonicCertificate,
     search_submonic_relation,
-    verify_certificate,
 )
 from .errors import InternalInconsistencyError, ResourceCapExceeded, TrdegError
 from .groebner import staircase_dimension_from_gb
@@ -267,8 +266,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             if isinstance(outcome, Dependent):
                 verdict = "dependent"
                 cert = outcome.certificate
-                if not verify_certificate(cert):
-                    raise AssertionError(f"trial {index} produced a bad certificate")
+                if not cert.verified:
+                    raise InternalInconsistencyError(
+                        f"trial {index} returned an unverified certificate"
+                    )
             elif isinstance(outcome, NoRelationUpTo):
                 verdict = "unresolved"
             else:

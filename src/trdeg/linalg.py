@@ -1,9 +1,12 @@
 """Exact linear algebra over ZZ, QQ, GF(p) and Z/n.
 
 Everything here is deterministic and exact: integer rows are handled by a
-row-style Hermite normal form with a unimodular transform, field rows by
-Gaussian elimination on Fractions or residues, and Z/n by lifting to ZZ with
-explicit modulus rows.
+row-style Hermite normal form, field rows by Gaussian elimination on
+Fractions or residues, and Z/n by lifting to ZZ with explicit modulus rows.
+The Hermite form is computed with a log of its row operations (swap, negate,
+subtract a multiple of another row).  hnf replays the log on the identity to
+build the unimodular transform; the span solver replays it backwards onto
+one coefficient vector and never builds the transform.
 """
 
 from __future__ import annotations
@@ -16,6 +19,56 @@ from .intmath import ext_gcd
 from .rings import IntegerRing, ModularRing, Ring
 
 
+def _hnf_ops(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple]]:
+    """Row Hermite normal form H of rows, with the log of row operations.
+
+    Each log entry is ("swap", i, j), ("neg", i) or ("sub", i, r, k) for
+    row_i -= k * row_r; applying the entries in order to rows gives H.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    h = [list(map(int, r)) for r in rows]
+    ops: list[tuple] = []
+
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        # Rows r.. are zero before col, so operations with pivot row r touch
+        # only columns col.. of a row.
+        live = (i for i in range(r, m) if h[i][col] != 0)
+        best = min(live, key=lambda i: abs(h[i][col]), default=None)
+        while best is not None:
+            if best != r:
+                h[r], h[best] = h[best], h[r]
+                ops.append(("swap", r, best))
+            if h[r][col] < 0:
+                h[r][col:] = [-x for x in h[r][col:]]
+                ops.append(("neg", r))
+            p, tail = h[r][col], h[r][col:]
+            # The next pivot is the least nonzero remainder, first row on ties.
+            best, least = None, p
+            for i in range(r + 1, m):
+                row = h[i]
+                if row[col] != 0:
+                    q = row[col] // p
+                    row[col:] = [a - q * b for a, b in zip(row[col:], tail)]
+                    ops.append(("sub", i, r, q))
+                    if 0 < row[col] < least:
+                        best, least = i, row[col]
+        if h[r][col] != 0:
+            p, tail = h[r][col], h[r][col:]
+            for i in range(r):
+                q = h[i][col] // p
+                if q:
+                    h[i][col:] = [a - q * b for a, b in zip(h[i][col:], tail)]
+                    ops.append(("sub", i, r, q))
+            r += 1
+    return h, ops
+
+
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form.
 
@@ -23,46 +76,20 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     increasing, pivots positive, entries above each pivot reduced into
     [0, pivot).  Zero rows sink to the bottom.  Pivot selection takes the
     least |value| (ties by row index) to keep intermediate entries small.
+    H and the log of row operations come from _hnf_ops; U is that log
+    replayed, operation by operation, on the m x m identity.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    h = [list(map(int, r)) for r in rows]
+    h, ops = _hnf_ops(rows)
+    m = len(h)
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        while True:
-            live = [i for i in range(r, m) if h[i][col] != 0]
-            if not live:
-                break
-            best = min(live, key=lambda i: (abs(h[i][col]), i))
-            if best != r:
-                h[r], h[best] = h[best], h[r]
-                u[r], u[best] = u[best], u[r]
-            if h[r][col] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            finished = True
-            for i in range(r + 1, m):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[r][col]
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if h[i][col] != 0:
-                        finished = False
-            if finished:
-                break
-        if h[r][col] != 0:
-            for i in range(r):
-                q = h[i][col] // h[r][col]
-                if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-            r += 1
+    for op in ops:
+        if op[0] == "swap":
+            u[op[1]], u[op[2]] = u[op[2]], u[op[1]]
+        elif op[0] == "neg":
+            u[op[1]] = [-x for x in u[op[1]]]
+        else:
+            _, i, r, k = op
+            u[i] = [a - k * b for a, b in zip(u[i], u[r])]
     return h, u
 
 
@@ -111,11 +138,9 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
 
 
 def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
-    if not gens:
-        return [] if all(x == 0 for x in target) else None
-    h, u = hnf(gens)
+    h, ops = _hnf_ops(gens)
     y = list(target)
-    row_coeffs = [0] * len(gens)
+    w = [0] * len(gens)
     for k, row in enumerate(h):
         pivot_col = next((j for j, x in enumerate(row) if x != 0), None)
         if pivot_col is None:
@@ -125,46 +150,57 @@ def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
         q = y[pivot_col] // row[pivot_col]
         if q:
             y = [a - q * b for a, b in zip(y, row)]
-        row_coeffs[k] = q
+        w[k] = q
     if any(y):
         return None
-    coeffs = [0] * len(gens)
-    for k, q in enumerate(row_coeffs):
-        if q:
-            coeffs = [c + q * uk for c, uk in zip(coeffs, u[k])]
-    return coeffs
+    # The coefficients are w^T U for H = U * gens.  U is the log's row
+    # operations applied in order, so w^T U applies their transposes to w
+    # in reverse: row_i -= k * row_r becomes w_r -= k * w_i.
+    for op in reversed(ops):
+        if op[0] == "swap":
+            w[op[1]], w[op[2]] = w[op[2]], w[op[1]]
+        elif op[0] == "neg":
+            w[op[1]] = -w[op[1]]
+        else:
+            _, i, r, k = op
+            w[r] -= k * w[i]
+    return w
 
 
 def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
-    if not gens:
-        return [] if all(field.is_zero(x) for x in target) else None
+    # Elimination over all generators makes each one independent of the
+    # earlier ones a pivot and gives every other a zero coefficient.  The
+    # answer is the unique solution on those pivots, which is zero past the
+    # first few that span the target: eliminate only on that prefix.
+    echelon = FieldEchelon(len(target), field)
+    prefix: list[int] = []
+    spanned = echelon.contains(target)
+    for j, g in enumerate(gens):
+        if spanned:
+            break
+        if not echelon.add(g):
+            prefix.append(j)
+            spanned = echelon.contains(target)
+    if not spanned:
+        return None
     dim = len(target)
-    # Columns are the generators: row-reduce [G^T | target].
-    aug = [[gens[j][i] for j in range(len(gens))] + [target[i]] for i in range(dim)]
-    ncols = len(gens)
-    pivots: list[tuple[int, int]] = []
-    row = 0
+    # Columns are the prefix generators: row-reduce [G^T | target].
+    aug = [[gens[j][i] for j in prefix] + [target[i]] for i in range(dim)]
+    ncols = len(prefix)
     for col in range(ncols):
-        pivot = next((r for r in range(row, dim) if not field.is_zero(aug[r][col])), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = field.div(field.one(), aug[row][col])
-        aug[row] = [field.mul(inv, x) for x in aug[row]]
+        pivot = next(r for r in range(col, dim) if not field.is_zero(aug[r][col]))
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = field.div(field.one(), aug[col][col])
+        aug[col] = [field.mul(inv, x) for x in aug[col]]
         for r in range(dim):
-            if r != row and not field.is_zero(aug[r][col]):
+            if r != col and not field.is_zero(aug[r][col]):
                 factor = aug[r][col]
                 aug[r] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(aug[r], aug[row])
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(aug[r], aug[col])
                 ]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, dim):
-        if not field.is_zero(aug[r][ncols]):
-            return None
-    coeffs = [field.zero()] * ncols
-    for r, c in pivots:
-        coeffs[c] = aug[r][ncols]
+    coeffs = [field.zero()] * len(gens)
+    for r, j in enumerate(prefix):
+        coeffs[j] = aug[r][ncols]
     return coeffs
 
 

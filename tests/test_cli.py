@@ -1,12 +1,15 @@
 """CLI subcommands, output shapes, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import trdeg
+from trdeg import dependence
 from trdeg.cli import main
 
 
@@ -31,6 +34,14 @@ class TestDep:
                            "--maxdeg", "3")
         assert code == 0
         assert out.splitlines()[0] == "dependent: f = x2^2 - 27*x1"
+
+    def test_invalid_search_certificate_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(dependence, "check_certificate", lambda cert: "forced")
+        code, out, err = run(capsys, "dep", "--elems", "12,18", "--order", "lex",
+                             "--maxdeg", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: search produced an invalid certificate: forced\n"
 
     def test_no_relation_exit_code(self, capsys):
         code, out, _ = run(capsys, "dep", "--elems", "2", "--maxdeg", "6")
@@ -227,12 +238,17 @@ class TestExperiment:
         assert data["spec"]["trials"] == 3
 
 
+def run_python(*args):
+    """Run the interpreter on args with the trdeg imported here on its path."""
+    env = dict(os.environ)
+    package_root = str(Path(trdeg.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "trdeg.cli", "dim", "--ring", "ZZ"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "trdeg.cli", "dim", "--ring", "ZZ")
         assert proc.returncode == 0 and proc.stdout.strip() == "1"
 
     def test_console_script(self):
@@ -248,17 +264,11 @@ class TestEntryPoint:
         module, func = target.split(":")
         wrapper = (f"import sys; from {module} import {func}; "
                    f"sys.argv[0] = 'trdeg'; sys.exit({func}())")
-        proc = subprocess.run(
-            [sys.executable, "-c", wrapper,
-             "dep", "--elems", "12,18", "--order", "lex", "--maxdeg", "3"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-c", wrapper,
+                          "dep", "--elems", "12,18", "--order", "lex", "--maxdeg", "3")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "dependent: f = x2^2 - 27*x1"
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "trdeg.cli", "dep"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "trdeg.cli", "dep")
         assert proc.returncode == 2

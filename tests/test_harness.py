@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from trdeg.errors import TrdegError
+from trdeg import harness
+from trdeg.errors import InternalInconsistencyError, TrdegError
 from trdeg.harness import (
     ExperimentSpec,
     known_dim,
@@ -104,6 +105,18 @@ class TestRunExperiment:
                     coeff_bound=5, search_degree_bound=6)
         base.update(kw)
         return ExperimentSpec(**base)
+
+    def test_unverified_certificate_is_an_internal_error(self, monkeypatch):
+        real_search = harness.search_submonic_relation
+
+        def unverified(*args):
+            outcome = real_search(*args)
+            outcome.certificate.verified = False
+            return outcome
+
+        monkeypatch.setattr(harness, "search_submonic_relation", unverified)
+        with pytest.raises(InternalInconsistencyError, match="unverified certificate"):
+            run_experiment(self.small_spec(trials=1))
 
     def test_summary_counts_all_trials(self):
         report = run_experiment(self.small_spec())

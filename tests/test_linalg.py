@@ -30,6 +30,24 @@ class TestHNF:
         assert h == [[2], [0]]
         assert abs(det(u)) == 1
 
+    def test_pinned_transforms_with_ties_and_zero_rows(self):
+        # U is not unique for rank-deficient input; the span solver's
+        # coefficients, and so every certificate, depend on this one.
+        a = [[4, 1, 3], [-2, 3, 0], [2, 5, 1], [6, -1, 2], [0, 0, 0], [-2, 3, 0]]
+        h, u = hnf(a)
+        assert h == [[2, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        assert u == [
+            [-3, 8, -3, 6, 0, 0],
+            [-1, 3, -1, 2, 0, 0],
+            [0, 2, -1, 1, 0, 0],
+            [8, -25, 10, -17, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, -1, 0, 0, 0, 1],
+        ]
+        assert solve_in_span([8, 6, 7], a, ZZ) == [-18, 64, -25, 43, 0, 0]
+        # After the first round both remainders are 2: the first row wins.
+        assert hnf([[-3], [-4], [-4]]) == ([[1], [0], [0]], [[1, -1, 0], [-4, 3, 0], [0, -1, 1]])
+
     def test_identity_fixed(self):
         h, _ = hnf([[1, 0], [0, 1]])
         assert h == [[1, 0], [0, 1]]
@@ -208,3 +226,150 @@ class TestIncremental:
     def test_field_echelon_rejects_nonfield(self):
         with pytest.raises(ValueError):
             FieldEchelon(2, ModularRing(6))
+
+
+def hnf_transform_solution(target, gens):
+    """sum(q_k * U[k]) from the public hnf's (H, U), q the pivot quotients."""
+    if not gens:
+        return [] if not any(target) else None
+    h, u = hnf(gens)
+    y = list(target)
+    coeffs = [0] * len(gens)
+    for row, u_row in zip(h, u):
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        if y[pivot] % row[pivot]:
+            return None
+        q = y[pivot] // row[pivot]
+        y = [a - q * b for a, b in zip(y, row)]
+        coeffs = [c + q * x for c, x in zip(coeffs, u_row)]
+    return None if any(y) else coeffs
+
+
+def full_gauss_jordan_solution(target, gens, field):
+    """Gauss-Jordan on every generator column; non-pivot columns get zero."""
+    if not gens:
+        return [] if all(field.is_zero(x) for x in target) else None
+    dim = len(target)
+    aug = [[gens[j][i] for j in range(len(gens))] + [target[i]] for i in range(dim)]
+    ncols = len(gens)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, dim) if not field.is_zero(aug[r][col])), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = field.div(field.one(), aug[row][col])
+        aug[row] = [field.mul(inv, x) for x in aug[row]]
+        for r in range(dim):
+            if r != row and not field.is_zero(aug[r][col]):
+                factor = aug[r][col]
+                aug[r] = [
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(aug[r], aug[row])
+                ]
+        pivots.append((row, col))
+        row += 1
+    for r in range(row, dim):
+        if not field.is_zero(aug[r][ncols]):
+            return None
+    coeffs = [field.zero()] * ncols
+    for r, c in pivots:
+        coeffs[c] = aug[r][ncols]
+    return coeffs
+
+
+def seeded_systems(rng, count, scalar, zero, combine):
+    """(target, gens) pairs: zero, repeated and dependent rows, one column,
+    negative leading entries, zero targets, members and non-members."""
+    for t in range(count):
+        ncols = 1 if t % 5 == 0 else rng.randint(2, 5)
+        nbase = rng.randint(1, 4)
+        base = [[scalar() for _ in range(ncols)] for _ in range(nbase)]
+        gens = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                gens.append([zero] * ncols)
+            elif kind == 1 and gens:
+                gens.append(list(rng.choice(gens)))
+            elif kind == 2:
+                gens.append(combine([scalar() for _ in base], base, ncols))
+            else:
+                gens.append([scalar() for _ in range(ncols)])
+        kind = t % 3
+        if kind == 0:
+            target = combine([scalar() for _ in gens], gens, ncols)
+        elif kind == 1:
+            target = [zero] * ncols
+        else:
+            target = [scalar() for _ in range(ncols)]
+        yield target, gens
+
+
+def int_combination(coeffs, rows, ncols):
+    return [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(ncols)]
+
+
+class TestSolveEqualsReference:
+    """solve_in_span returns exactly what the full-transform solvers did."""
+
+    def test_integers_match_hnf_transform(self):
+        rng = random.Random(71)
+        outcomes = set()
+        systems = seeded_systems(
+            rng, 600, lambda: rng.randint(-12, 12), 0, int_combination
+        )
+        for target, gens in systems:
+            got = solve_in_span(target, gens, ZZ)
+            assert got == hnf_transform_solution(target, gens)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_negative_pivots_and_repeated_rows(self):
+        gens = [[-3, 5], [-3, 5], [0, 0], [-6, 4], [9, -15]]
+        for target in ([3, -5], [0, 6], [0, 0], [1, 0]):
+            assert solve_in_span(target, gens, ZZ) == hnf_transform_solution(target, gens)
+
+    def test_residues_match_lifted_hnf_transform(self):
+        rng = random.Random(73)
+        outcomes = set()
+        for modulus in (4, 6, 9, 12, 30):
+            ring = ModularRing(modulus)
+            systems = seeded_systems(
+                rng, 120, lambda: rng.randrange(modulus), 0,
+                lambda c, rows, n: [x % modulus for x in int_combination(c, rows, n)],
+            )
+            for target, gens in systems:
+                dim = len(target)
+                moduli = [[modulus if i == j else 0 for i in range(dim)] for j in range(dim)]
+                lifted = hnf_transform_solution(target, gens + moduli)
+                want = None if lifted is None else [c % modulus for c in lifted[: len(gens)]]
+                got = solve_in_span(target, gens, ring)
+                assert got == want
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(7), PrimeField(2)],
+                             ids=["QQ", "GF(7)", "GF(2)"])
+    def test_fields_match_full_gauss_jordan(self, ring):
+        rng = random.Random(79)
+
+        def scalar():
+            if ring is QQ:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return rng.randrange(ring.modulus)
+
+        def combine(coeffs, rows, ncols):
+            out = [ring.zero()] * ncols
+            for c, r in zip(coeffs, rows):
+                out = [ring.add(a, ring.mul(c, b)) for a, b in zip(out, r)]
+            return out
+
+        outcomes = set()
+        for target, gens in seeded_systems(rng, 300, scalar, ring.zero(), combine):
+            got = solve_in_span(target, gens, ring)
+            assert got == full_gauss_jordan_solution(target, gens, ring)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
