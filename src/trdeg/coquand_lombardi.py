@@ -20,14 +20,14 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .dependence import AlgebraConfig, SubmonicCertificate, check_certificate
-from .errors import ResourceCapExceeded, UnsupportedConfigError
+from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import membership_cofactors
 from .linalg import solve_in_span
 from .monomials import Monomial, compositions
 from .orderings import GrevLex, Lex
 from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
 from .polynomials import Polynomial
-from .rings import IntegerRing, ModularRing, QuotRing, Ring, ZZ
+from .rings import QuotRing, Ring
 
 
 @dataclass
@@ -93,13 +93,11 @@ def _cl_sides(ring: Ring, elems: Sequence, exps: Sequence[int]):
 
 
 def _membership(ring: Ring, target, gens: list) -> Optional[list]:
-    """Coefficients r with target == sum(r_j * gens_j) in R, or None."""
-    if isinstance(ring, IntegerRing):
-        return solve_in_span([target], [[g] for g in gens], ZZ)
-    if ring.is_field:
-        return solve_in_span([target], [[g] for g in gens], ring)
-    if isinstance(ring, ModularRing):
-        return solve_in_span([target], [[g] for g in gens], ring)
+    """Coefficients r with target == sum(r_j * gens_j) in R, or None.
+
+    A quotient ring goes through Groebner cofactors; ZZ, a field or Z/n
+    through a 1-dimensional span solve, which rejects any other ring.
+    """
     if isinstance(ring, QuotRing):
         field = ring.poly_ring.base
         relations = list(ring.relations)
@@ -107,9 +105,7 @@ def _membership(ring: Ring, target, gens: list) -> Optional[list]:
         if cof is None:
             return None
         return [ring.reduce(c) for c in cof[: len(gens)]]
-    raise UnsupportedConfigError(
-        f"no boundary-ideal membership oracle for {ring_to_text(ring)}"
-    )
+    return solve_in_span([target], [[g] for g in gens], ring)
 
 
 def cl_search(
@@ -137,7 +133,7 @@ def cl_search(
             if coeffs is not None:
                 cert = CLCertificate(ring, elems, tuple(exps), tuple(coeffs))
                 if not cl_verify(cert):
-                    raise AssertionError("membership oracle returned a bad witness")
+                    raise InternalInconsistencyError("membership oracle returned a bad witness")
                 return cert
     return NotFoundUpTo(maxexp)
 
@@ -200,7 +196,7 @@ def cl_to_submonic(cert: CLCertificate) -> SubmonicCertificate:
     )
     reason = check_certificate(out)
     if reason is not None:
-        raise AssertionError(f"conversion produced an invalid certificate: {reason}")
+        raise InternalInconsistencyError(f"conversion produced an invalid certificate: {reason}")
     out.verified = True
     return out
 

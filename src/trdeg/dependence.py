@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import membership_cofactors
 from .intmath import ext_gcd
-from .linalg import FieldEchelon, IntLattice, solve_in_span
+from .linalg import solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
 from .orderings import GrevLex, Lex, MonomialOrdering, is_submonic, ordering_from_text
 from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
@@ -313,22 +313,13 @@ def _search_span(
 
     if config.kind == "zz":
         scalars: Ring = ZZ
-        structure = IntLattice(dim)
     elif config.kind == "zmod":
-        modulus_ring = (
-            algebra if isinstance(algebra, ModularRing) else config.coeff_ring
-        )
-        scalars = modulus_ring
-        structure = IntLattice(dim)
-        for j in range(dim):
-            unit = [0] * dim
-            unit[j] = modulus_ring.modulus
-            structure.add(unit)
+        scalars = algebra if isinstance(algebra, ModularRing) else config.coeff_ring
     else:  # field span
         scalars = config.coeff_ring
-        structure = FieldEchelon(dim, scalars)
         if base is not None and base != scalars:
             raise UnsupportedConfigError("algebra base field differs from coefficients")
+    structure = span_structure(scalars, dim)
 
     # One reversed pass: after processing index i the structure spans exactly
     # the evaluations of monomials strictly greater than mons[i-1].

@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .errors import InternalInconsistencyError
 from .monomials import Monomial
 from .orderings import MonomialOrdering
 from .polynomials import Polynomial, leading_term
@@ -25,13 +26,11 @@ class GroebnerBasis:
         field,
         ordering: MonomialOrdering,
         polys: list[Polynomial],
-        gens: Optional[list[Polynomial]] = None,
         reps: Optional[list[list[Polynomial]]] = None,
     ):
         self.field = field
         self.ordering = ordering
         self.polys = polys
-        self.gens = gens
         self.reps = reps  # reps[i][k]: cofactor of gens[k] in polys[i]
 
     def __iter__(self):
@@ -169,13 +168,12 @@ def buchberger(
         leads.append(leading_term(r, ordering))
         add_pairs((k, new_index) for k in range(new_index))
 
-    return _reduce_basis(basis, reps if track else None, gens, ordering, field, track)
+    return _reduce_basis(basis, reps if track else None, ordering, field, track)
 
 
 def _reduce_basis(
     basis: list[Polynomial],
     reps: Optional[list[list[Polynomial]]],
-    gens: list[Polynomial],
     ordering: MonomialOrdering,
     field,
     track: bool,
@@ -225,7 +223,7 @@ def _reduce_basis(
     polys = [polys[k] for k in final]
     if track:
         kept_reps = [kept_reps[k] for k in final]
-    return GroebnerBasis(field, ordering, polys, gens if track else None, kept_reps)
+    return GroebnerBasis(field, ordering, polys, kept_reps)
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:
@@ -257,7 +255,7 @@ def membership_cofactors(
     for c, g in zip(cof, gens):
         total = total + c * g
     if total != f:
-        raise AssertionError("cofactor identity failed; tracking bug")
+        raise InternalInconsistencyError("cofactor identity failed; tracking bug")
     return cof
 
 
@@ -276,7 +274,7 @@ def staircase_dimension_from_gb(gb: GroebnerBasis, nvars: int) -> int:
             s = set(subset)
             if not any(sup <= s for sup in supports):
                 return size
-    raise AssertionError("unreachable: the empty subset always qualifies")
+    raise InternalInconsistencyError("unreachable: the empty subset always qualifies")
 
 
 def staircase_dimension(

@@ -18,21 +18,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def ext_gcd_list(values: list[int]) -> tuple[int, list[int]]:
-    """Return (g, coeffs) with g = gcd of values >= 0 and g == sum(c*v)."""
-    if not values:
-        return 0, []
-    g = values[0]
-    coeffs = [1] + [0] * (len(values) - 1)
-    if g < 0:
-        g, coeffs[0] = -g, -1
-    for k in range(1, len(values)):
-        g2, u, v = ext_gcd(g, values[k])
-        coeffs = [u * c for c in coeffs[:k]] + [v] + [0] * (len(values) - k - 1)
-        g = g2
-    return g, coeffs
-
-
 def modinv(a: int, n: int) -> int:
     """Inverse of a modulo n; raises ZeroDivisionError when gcd(a, n) != 1."""
     g, x, _ = ext_gcd(a % n, n)

@@ -1,21 +1,22 @@
 """Exact linear algebra over ZZ, QQ, GF(p) and Z/n.
 
-Everything here is deterministic and exact: integer rows are handled by a
-row-style Hermite normal form, field rows by Gaussian elimination on
-Fractions or residues, and Z/n by lifting to ZZ with explicit modulus rows.
-The Hermite form is computed with a log of its row operations (swap, negate,
+Everything here is deterministic and exact.  One row-style Hermite
+elimination, _hnf_ops, serves every integer need: hnf, the span solve and
+the incremental lattice.  Field rows go through Gaussian elimination on
+Fractions or residues, and Z/n lifts to ZZ with explicit modulus rows.  The
+Hermite form is computed with a log of its row operations (swap, negate,
 subtract a multiple of another row).  hnf replays the log on the identity to
 build the unimodular transform; the span solver replays it backwards onto
-one coefficient vector and never builds the transform.
+one coefficient vector and never builds the transform; IntLattice keeps
+only the form itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import UnsupportedConfigError
-from .intmath import ext_gcd
 from .rings import IntegerRing, ModularRing, Ring
 
 
@@ -137,10 +138,14 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
     raise UnsupportedConfigError(f"no span solver over {scalars}")
 
 
-def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
-    h, ops = _hnf_ops(gens)
+def _pivot_quotients(h: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
+    """Quotients w with sum(w_k * h_k) == target for h in row Hermite form.
+
+    None when target is outside the row span of h: some pivot does not divide
+    what is left in its column, or something is left past the last pivot.
+    """
     y = list(target)
-    w = [0] * len(gens)
+    w = [0] * len(h)
     for k, row in enumerate(h):
         pivot_col = next((j for j, x in enumerate(row) if x != 0), None)
         if pivot_col is None:
@@ -151,7 +156,13 @@ def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
         if q:
             y = [a - q * b for a, b in zip(y, row)]
         w[k] = q
-    if any(y):
+    return None if any(y) else w
+
+
+def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
+    h, ops = _hnf_ops(gens)
+    w = _pivot_quotients(h, target)
+    if w is None:
         return None
     # The coefficients are w^T U for H = U * gens.  U is the log's row
     # operations applied in order, so w^T U applies their transposes to w
@@ -206,122 +217,58 @@ def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
 
 def _solve_zmod(target: list[int], gens: list[list[int]], ring: ModularRing) -> Optional[list[int]]:
     n = ring.modulus
-    dim = len(target)
-    lifted = [list(g) for g in gens]
-    for j in range(dim):
-        unit = [0] * dim
-        unit[j] = n
-        lifted.append(unit)
-    sol = _solve_int(list(target), lifted)
+    sol = _solve_int(target, gens + _modulus_rows(n, len(target)))
     if sol is None:
         return None
     return [c % n for c in sol[: len(gens)]]
 
 
-class IntLattice:
-    """Incremental integer row span in Hermite-like form.
+def _modulus_rows(n: int, dim: int) -> list[list[int]]:
+    """The rows n * e_j, whose integer span is the kernel of ZZ^dim -> (Z/n)^dim."""
+    return [[n if i == j else 0 for i in range(dim)] for j in range(dim)]
 
-    Rows keep strictly increasing pivot columns with positive pivots, so
-    membership is a divisibility walk.  add() reports whether the vector was
-    already in the span before insertion.
+
+class IntLattice:
+    """Incremental integer row span, kept as the nonzero rows of its Hermite form.
+
+    Membership is the pivot-quotient walk.  add() reports whether the vector
+    was already in the span before insertion.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list[int]] = []  # sorted by pivot column
-        self._pivot_cols: list[int] = []
-
-    def _leading(self, v: list[int]) -> Optional[int]:
-        return next((j for j, x in enumerate(v) if x != 0), None)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = list(vec)
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        for row, c in zip(self.rows, self._pivot_cols):
-            lead = self._leading(v)
-            if lead is None:
-                return True
-            if lead < c:
-                return False
-            if v[c] != 0:
-                if v[c] % row[c] != 0:
-                    return False
-                q = v[c] // row[c]
-                v = [a - q * b for a, b in zip(v, row)]
-        return self._leading(v) is None
+        self.rows: list[list[int]] = []
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns True when it already belonged to the span."""
         v = list(vec)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        member = True
-        while True:
-            lead = self._leading(v)
-            if lead is None:
-                return member
-            k = next(
-                (i for i, c in enumerate(self._pivot_cols) if c == lead), None
-            )
-            if k is None:
-                member = False
-                if v[lead] < 0:
-                    v = [-x for x in v]
-                pos = next(
-                    (i for i, c in enumerate(self._pivot_cols) if c > lead),
-                    len(self.rows),
-                )
-                self.rows.insert(pos, v)
-                self._pivot_cols.insert(pos, lead)
-                self._reduce_column(pos)
-                return False
-            row = self.rows[k]
-            p, q_ = row[lead], v[lead]
-            if q_ % p == 0:
-                q = q_ // p
-                v = [a - q * b for a, b in zip(v, row)]
-            else:
-                # Unimodular 2x2 update replaces the pivot row with the gcd
-                # combination; the leftover row has a strictly later pivot.
-                member = False
-                g, x, y = ext_gcd(p, q_)
-                new_row = [x * a + y * b for a, b in zip(row, v)]
-                leftover = [(-(q_ // g)) * a + (p // g) * b for a, b in zip(row, v)]
-                self.rows[k] = new_row
-                self._reduce_column(k)
-                v = leftover
-
-    def _reduce_column(self, k: int) -> None:
-        # Keep entries above/below the pivot of row k small.
-        row = self.rows[k]
-        c = self._pivot_cols[k]
-        for i, other in enumerate(self.rows):
-            if i != k and other[c] != 0:
-                q = other[c] // row[c]
-                if q:
-                    self.rows[i] = [a - q * b for a, b in zip(other, row)]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+        if _pivot_quotients(self.rows, v) is not None:
+            return True
+        h, _ = _hnf_ops(self.rows + [v])
+        self.rows = [row for row in h if any(row)]
+        return False
 
 
 class FieldEchelon:
-    """Incremental reduced row echelon form over a field ring."""
+    """Incremental reduced row echelon form over a field ring.
+
+    Each row has a 1 in its pivot column and every other row a 0 there, so
+    reducing by the rows in any order gives the same result.
+    """
 
     def __init__(self, dim: int, field: Ring):
         if not field.is_field:
             raise ValueError(f"{field} is not a field")
         self.dim = dim
         self.field = field
-        self.rows: list[list] = []
-        self._pivot_cols: list[int] = []
+        self.rows: dict[int, list] = {}  # pivot column -> row
 
     def _reduce(self, vec: Sequence) -> list:
         f = self.field
         v = list(vec)
-        for row, c in zip(self.rows, self._pivot_cols):
+        for c, row in self.rows.items():
             if not f.is_zero(v[c]):
                 factor = v[c]
                 v = [f.sub(a, f.mul(factor, b)) for a, b in zip(v, row)]
@@ -338,17 +285,31 @@ class FieldEchelon:
             return True
         inv = f.div(f.one(), v[lead])
         v = [f.mul(inv, x) for x in v]
-        pos = next(
-            (i for i, c in enumerate(self._pivot_cols) if c > lead), len(self.rows)
-        )
-        self.rows.insert(pos, v)
-        self._pivot_cols.insert(pos, lead)
-        for i, other in enumerate(self.rows):
-            if i != pos and not f.is_zero(other[lead]):
+        for c, other in self.rows.items():
+            if not f.is_zero(other[lead]):
                 factor = other[lead]
-                self.rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(other, v)]
+                self.rows[c] = [f.sub(a, f.mul(factor, b)) for a, b in zip(other, v)]
+        self.rows[lead] = v
         return False
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def span_structure(scalars: Ring, dim: int) -> Union[IntLattice, FieldEchelon]:
+    """An incremental span of dim-vectors over the scalar ring, spanning 0.
+
+    Dispatches like solve_in_span: ZZ gives an IntLattice, a field a
+    FieldEchelon, and Z/n an IntLattice seeded with the modulus rows, so that
+    add() answers membership modulo n.
+    """
+    if isinstance(scalars, IntegerRing):
+        return IntLattice(dim)
+    if scalars.is_field:
+        return FieldEchelon(dim, scalars)
+    if isinstance(scalars, ModularRing):
+        lattice = IntLattice(dim)
+        lattice.rows = _modulus_rows(scalars.modulus, dim)
+        return lattice
+    raise UnsupportedConfigError(f"no span structure over {scalars}")

@@ -21,8 +21,10 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistencyError, ParseError
+from .linalg import FieldEchelon
 from .monomials import Monomial
 from .polynomials import Polynomial, trailing_term
+from .rings import QQ
 
 
 class MonomialOrdering:
@@ -192,7 +194,10 @@ class MatrixOrder(MonomialOrdering):
                 raise ValueError(
                     f"column {j + 1}: first nonzero entry must be positive"
                 )
-        if _rational_rank(mat) != ncols:
+        echelon = FieldEchelon(ncols, QQ)
+        for row in mat:
+            echelon.add(row)
+        if echelon.rank != ncols:
             raise ValueError("matrix columns must be linearly independent")
         self.rows = mat
         self.ncols = ncols
@@ -213,25 +218,6 @@ class MatrixOrder(MonomialOrdering):
 
     def __hash__(self):
         return hash(("matrix", self.rows))
-
-
-def _rational_rank(mat: tuple[tuple[Fraction, ...], ...]) -> int:
-    rows = [list(r) for r in mat]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def is_submonic(f: Polynomial, ordering: MonomialOrdering) -> bool:

@@ -62,9 +62,6 @@ class Ring:
 
         return ring_to_text(self)
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
 
 class IntegerRing(Ring):
     def zero(self):

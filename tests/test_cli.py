@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import trdeg
-from trdeg import dependence
+from trdeg import coquand_lombardi, dependence
 from trdeg.cli import main
 
 
@@ -75,6 +75,14 @@ class TestDep:
 
 
 class TestCl:
+    def test_invalid_membership_witness_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(coquand_lombardi, "cl_verify", lambda cert: False)
+        code, out, err = run(capsys, "cl", "--ring", "Zmod(12)", "--elems", "2",
+                             "--maxexp", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: membership oracle returned a bad witness\n"
+
     def test_mod12(self, capsys):
         code, out, _ = run(capsys, "cl", "--ring", "Zmod(12)", "--elems", "2",
                            "--maxexp", "5")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from propcheck import check_hnf_postconditions
-from trdeg.linalg import FieldEchelon, IntLattice, det, hnf, solve_in_span
+from trdeg.linalg import FieldEchelon, IntLattice, det, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
 
 
@@ -196,16 +196,35 @@ class TestSolveInSpanZmod:
 
 class TestIncremental:
     def test_int_lattice_matches_solver(self):
+        # After every add the lattice holds the nonzero rows of the Hermite
+        # form of everything it has seen; over Z/n that includes the modulus
+        # rows n * e_j it starts from.
         rng = random.Random(61)
-        for _ in range(100):
-            n = rng.randint(1, 4)
-            lat = IntLattice(n)
+        cases = [(ZZ, rng.randint(1, 5), 8) for _ in range(150)]
+        cases += [(ZZ, rng.randint(1, 3), 60) for _ in range(50)]
+        cases += [(ModularRing(n), rng.randint(1, 4), n) for n in range(2, 13) for _ in range(20)]
+        for ring, dim, bound in cases:
+            integers = ring == ZZ
+            lat = span_structure(ring, dim)
+            base = [] if integers else [[ring.modulus * (i == j) for i in range(dim)] for j in range(dim)]
             seen = []
-            for _ in range(rng.randint(1, 6)):
-                v = [rng.randint(-8, 8) for _ in range(n)]
+            for _ in range(rng.randint(1, 8)):
+                kind = rng.random()
+                if kind < 0.1 or not seen:
+                    v = [0] * dim if kind < 0.05 else [rng.randint(-bound, bound) for _ in range(dim)]
+                elif kind < 0.25:
+                    v = list(rng.choice(seen))
+                elif kind < 0.45:
+                    picked = [rng.randint(-3, 3) for _ in seen]
+                    v = [sum(c * g[i] for c, g in zip(picked, seen)) for i in range(dim)]
+                else:
+                    v = [rng.randint(-bound, bound) for _ in range(dim)]
+                if not integers:
+                    v = [x % ring.modulus for x in v]
                 was_member = lat.add(v)
-                assert was_member == (solve_in_span(v, seen, ZZ) is not None)
+                assert was_member == (solve_in_span(v, seen, ring) is not None)
                 seen.append(v)
+                assert lat.rows == [row for row in hnf(base + seen)[0] if any(row)]
 
     def test_int_lattice_gcd_saturation(self):
         lat = IntLattice(3)
