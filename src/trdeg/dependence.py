@@ -332,7 +332,16 @@ def _search_span(
         return NoRelationUpTo(maxdeg)
 
     above = mons[hit + 1 :]
-    coeffs = solve_in_span(vecs[hit], vecs[hit + 1 :], scalars)
+    gens = vecs[hit + 1 :]
+    # Over ZZ any prefix that spans the hit gives a relation, and a short one
+    # has far smaller coefficients: solve on 1, 2, 4, ... of the greater
+    # values.  zip below skips the monomials past the prefix (coefficient 0).
+    # Fields cut their own prefix inside the solver; Z/n solves on all.
+    size = 1 if config.kind == "zz" else len(gens)
+    coeffs = solve_in_span(vecs[hit], gens[:size], scalars)
+    while coeffs is None and size < len(gens):
+        size = min(2 * size, len(gens))
+        coeffs = solve_in_span(vecs[hit], gens[:size], scalars)
     if coeffs is None:
         raise InternalInconsistencyError("incremental membership disagreed with the span solver")
     r = config.coeff_ring

@@ -1,10 +1,12 @@
 """Submonic relation search, certificates, and the integer pair route."""
 
+import copy
 import json
 import random
 
 import pytest
 
+from trdeg import dependence
 from trdeg.dependence import (
     AlgebraConfig,
     Dependent,
@@ -16,12 +18,14 @@ from trdeg.dependence import (
     search_submonic_relation,
     verify_certificate,
 )
-from trdeg.errors import ResourceCapExceeded, UnsupportedConfigError
-from trdeg.monomials import ONE, Monomial
+from trdeg.errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
+from trdeg.harness import sample_element
+from trdeg.linalg import solve_in_span, span_structure
+from trdeg.monomials import ONE, Monomial, monomials_up_to_degree
 from trdeg.orderings import GrevLex, Lex
 from trdeg.parsing import parse_elem, parse_ring_text
 from trdeg.polynomials import Polynomial
-from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
+from trdeg.rings import QQ, ZZ, ModularRing, PolyRing, PrimeField
 
 
 def m(*pairs):
@@ -178,6 +182,126 @@ class TestSearchOtherConfigs:
         cfg = AlgebraConfig(QQ, QQ)
         verdict = search_submonic_relation(cfg, (QQ.from_int(5),), Lex(), 1)
         assert isinstance(verdict, Dependent)
+
+
+def _full_solve_trailing(cfg, elems, mons):
+    """The least candidate that solve_in_span puts in the span of all greater values."""
+    algebra = cfg.algebra
+    values = []
+    for mon in mons:
+        value = algebra.one()
+        for i, e in mon.exps:
+            for _ in range(e):
+                value = algebra.mul(value, elems[i - 1])
+        values.append(value)
+    if isinstance(algebra, PolyRing):
+        basis = sorted({b for v in values for b in v.terms}, key=Monomial.natural_key)
+        vecs = [[v.coeff(b) for b in basis] for v in values]
+    else:
+        vecs = [[v] for v in values]
+    return next(
+        (mons[i] for i in range(len(mons)) if solve_in_span(vecs[i], vecs[i + 1 :], ZZ) is not None),
+        None,
+    )
+
+
+def _shortest_spanning_prefix(target, gens):
+    lattice = span_structure(ZZ, len(target))
+    for k, g in enumerate(gens):
+        if copy.deepcopy(lattice).add(target):
+            return k
+        lattice.add(g)
+    return len(gens)
+
+
+class TestZZPrefixSolve:
+    """Over ZZ the coefficients come from 1, 2, 4, ... of the greater values."""
+
+    def test_failed_full_solve_still_raises(self, monkeypatch):
+        ring = PolyRing(ZZ, ("x",))
+        cfg = AlgebraConfig(ZZ, ring)
+        x = parse_elem("x", ring)
+        elems = (x + ring.one(), x * x)
+        trailing = search_submonic_relation(cfg, elems, GrevLex(), 4).certificate.trailing
+        mons = GrevLex().sort(monomials_up_to_degree(2, 4))
+        full = len(mons) - 1 - mons.index(trailing)
+        sizes = []
+
+        def refuse(target, gens, scalars):
+            sizes.append(len(gens))
+            return None
+
+        monkeypatch.setattr(dependence, "solve_in_span", refuse)
+        with pytest.raises(InternalInconsistencyError, match="disagreed"):
+            search_submonic_relation(cfg, elems, GrevLex(), 4)
+        assert full > 4
+        assert sizes == [min(2**i, full) for i in range(len(sizes))]
+        assert sizes[-1] == full
+
+    def test_prefix_lengths_certificates_and_verdicts(self, monkeypatch):
+        calls = []
+
+        def recording(target, gens, scalars):
+            calls.append((target, gens))
+            return solve_in_span(target, gens, scalars)
+
+        monkeypatch.setattr(dependence, "solve_in_span", recording)
+        poly_cfg = AlgebraConfig(ZZ, PolyRing(ZZ, ("x",)))
+        rng = random.Random(61)
+        dependent = 0
+        for k in range(200):
+            cfg, bound = (ZZ_CFG, 30) if k % 2 else (poly_cfg, 5)
+            arity, maxdeg = rng.randint(1, 3), rng.randint(2, 6)
+            ordering = rng.choice([Lex(), GrevLex()])
+            elems = tuple(sample_element(rng, cfg.algebra, 2, bound) for _ in range(arity))
+            calls.clear()
+            verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
+            mons = ordering.sort(monomials_up_to_degree(arity, maxdeg))
+            expected = _full_solve_trailing(cfg, elems, mons)
+            if not isinstance(verdict, Dependent):
+                assert verdict == NoRelationUpTo(maxdeg) and expected is None
+                assert calls == []
+                continue
+            dependent += 1
+            cert = verdict.certificate
+            assert cert.trailing == expected
+            assert verify_certificate(cert)
+            full = len(mons) - 1 - mons.index(cert.trailing)
+            sizes = [len(gens) for _, gens in calls]
+            assert sizes == [min(2**i, full) for i in range(len(sizes))]
+            shortest = _shortest_spanning_prefix(*calls[-1])
+            assert all(size < shortest for size in sizes[:-1])
+            assert sizes[-1] == full or sizes[-1] < 2 * shortest
+        assert dependent >= 100
+
+
+class TestDegreeBoundMetamorphic:
+    """Raising maxdeg by one keeps every relation: the least trailing monomial can only fall."""
+
+    @pytest.mark.parametrize(
+        "coeff, alg, bound, searches",
+        [
+            ("ZZ", "ZZ", 30, 150),
+            ("ZZ", "Poly(ZZ; x)", 3, 60),
+            ("QQ", "Poly(QQ; x)", 3, 30),
+            ("GF(7)", "Poly(GF(7); x)", 3, 100),
+            ("Zmod(12)", "Zmod(12)", 12, 100),
+            ("ZZ", "Zmod(30)", 30, 100),
+        ],
+    )
+    def test_raising_the_degree_bound(self, coeff, alg, bound, searches):
+        cfg = AlgebraConfig(parse_ring_text(coeff), parse_ring_text(alg))
+        rng = random.Random(f"{coeff} {alg}")
+        for _ in range(searches):
+            arity, maxdeg = rng.randint(1, 3), rng.randint(0, 4)
+            ordering = rng.choice([Lex(), GrevLex()])
+            degree = rng.randint(1, 2)
+            elems = tuple(sample_element(rng, cfg.algebra, degree, bound) for _ in range(arity))
+            low = search_submonic_relation(cfg, elems, ordering, maxdeg)
+            high = search_submonic_relation(cfg, elems, ordering, maxdeg + 1)
+            if isinstance(low, Dependent):
+                assert isinstance(high, Dependent)
+                assert ordering.compare(high.certificate.trailing, low.certificate.trailing) <= 0
 
 
 class TestPidPair:
