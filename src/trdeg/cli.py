@@ -174,14 +174,22 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.cert) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        shape = type(data).__name__
+        raise TrdegError(f"malformed certificate: expected a JSON object, not {shape}")
     if "poly" in data:
-        cert = SubmonicCertificate.from_dict(data)
-        reason = check_certificate(cert)
+        kind, check = SubmonicCertificate, check_certificate
     elif "exponents" in data:
-        cert = CLCertificate.from_dict(data)
-        reason = cl_check(cert)
+        kind, check = CLCertificate, cl_check
     else:
         raise TrdegError("unrecognized certificate shape: expected 'poly' or 'exponents'")
+    try:
+        cert = kind.from_dict(data)
+    except KeyError as exc:
+        raise TrdegError(f"malformed certificate: missing key {exc}") from exc
+    except TypeError as exc:
+        raise TrdegError(f"malformed certificate: {exc}") from exc
+    reason = check(cert)
     if reason is None:
         print("verified")
         return 0

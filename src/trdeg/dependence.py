@@ -333,11 +333,12 @@ def _search_span(
 
     above = mons[hit + 1 :]
     gens = vecs[hit + 1 :]
-    # Over ZZ any prefix that spans the hit gives a relation, and a short one
-    # has far smaller coefficients: solve on 1, 2, 4, ... of the greater
-    # values.  zip below skips the monomials past the prefix (coefficient 0).
-    # Fields cut their own prefix inside the solver; Z/n solves on all.
-    size = 1 if config.kind == "zz" else len(gens)
+    # Solve on 1, 2, 4, ... of the greater values; zip below skips the
+    # monomials past the prefix (coefficient 0).  Over ZZ any spanning prefix
+    # gives a relation, and a short one has far smaller coefficients.  Over a
+    # field every spanning prefix gives the same coefficients as all of them.
+    # Z/n solves on all.
+    size = len(gens) if config.kind == "zmod" else 1
     coeffs = solve_in_span(vecs[hit], gens[:size], scalars)
     while coeffs is None and size < len(gens):
         size = min(2 * size, len(gens))

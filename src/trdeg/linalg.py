@@ -2,13 +2,13 @@
 
 Everything here is deterministic and exact.  One row-style Hermite
 elimination, _hnf_ops, serves every integer need: hnf, the span solve and
-the incremental lattice.  Field rows go through Gaussian elimination on
-Fractions or residues, and Z/n lifts to ZZ with explicit modulus rows.  The
-Hermite form is computed with a log of its row operations (swap, negate,
-subtract a multiple of another row).  hnf replays the log on the identity to
-build the unimodular transform; the span solver replays it backwards onto
-one coefficient vector and never builds the transform; IntLattice keeps
-only the form itself.
+the incremental lattice.  One field elimination, FieldEchelon, serves every
+field need: span membership, and the span solve on the transposed system.
+Z/n lifts to ZZ with explicit modulus rows.  The Hermite form is computed
+with a log of its row operations (swap, negate, subtract a multiple of
+another row).  hnf replays the log on the identity to build the unimodular
+transform; the span solver replays it backwards onto one coefficient vector
+and never builds the transform; IntLattice keeps only the form itself.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
     """Coefficients c with sum(c_i * gens_i) == target over the scalar ring.
 
     Returns None when target is outside the span.  Supported scalar rings:
-    ZZ (Hermite normal form route), any field (Gaussian elimination), and
+    ZZ (Hermite normal form route), any field (reduced echelon form), and
     Z/n (lift to ZZ with modulus rows).  The answer is deterministic but not
     unique in general.
     """
@@ -179,39 +179,19 @@ def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
 
 
 def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
-    # Elimination over all generators makes each one independent of the
-    # earlier ones a pivot and gives every other a zero coefficient.  The
-    # answer is the unique solution on those pivots, which is zero past the
-    # first few that span the target: eliminate only on that prefix.
-    echelon = FieldEchelon(len(target), field)
-    prefix: list[int] = []
-    spanned = echelon.contains(target)
-    for j, g in enumerate(gens):
-        if spanned:
-            break
-        if not echelon.add(g):
-            prefix.append(j)
-            spanned = echelon.contains(target)
-    if not spanned:
+    # Reduced echelon form of [G^T | target]: column j has a pivot exactly when
+    # gens[j] is independent of the earlier generators, and a pivot in the
+    # last column means target is outside the span.  Otherwise the last column
+    # holds the unique coefficients on the pivot generators; the rest get 0.
+    k = len(gens)
+    echelon = FieldEchelon(k + 1, field)
+    for i, t in enumerate(target):
+        echelon.add([g[i] for g in gens] + [t])
+    if k in echelon.rows:
         return None
-    dim = len(target)
-    # Columns are the prefix generators: row-reduce [G^T | target].
-    aug = [[gens[j][i] for j in prefix] + [target[i]] for i in range(dim)]
-    ncols = len(prefix)
-    for col in range(ncols):
-        pivot = next(r for r in range(col, dim) if not field.is_zero(aug[r][col]))
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.div(field.one(), aug[col][col])
-        aug[col] = [field.mul(inv, x) for x in aug[col]]
-        for r in range(dim):
-            if r != col and not field.is_zero(aug[r][col]):
-                factor = aug[r][col]
-                aug[r] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(aug[r], aug[col])
-                ]
-    coeffs = [field.zero()] * len(gens)
-    for r, j in enumerate(prefix):
-        coeffs[j] = aug[r][ncols]
+    coeffs = [field.zero()] * k
+    for j, row in echelon.rows.items():
+        coeffs[j] = row[k]
     return coeffs
 
 
@@ -255,7 +235,9 @@ class FieldEchelon:
     """Incremental reduced row echelon form over a field ring.
 
     Each row has a 1 in its pivot column and every other row a 0 there, so
-    reducing by the rows in any order gives the same result.
+    reducing by the rows in any order gives the same result.  This is the one
+    field elimination: the search adds the candidate values to test span
+    membership, and the span solve adds the rows of [G^T | target].
     """
 
     def __init__(self, dim: int, field: Ring):
@@ -265,21 +247,14 @@ class FieldEchelon:
         self.field = field
         self.rows: dict[int, list] = {}  # pivot column -> row
 
-    def _reduce(self, vec: Sequence) -> list:
+    def add(self, vec: Sequence) -> bool:
+        """Insert vec; returns True when it already belonged to the span."""
         f = self.field
         v = list(vec)
         for c, row in self.rows.items():
             if not f.is_zero(v[c]):
                 factor = v[c]
                 v = [f.sub(a, f.mul(factor, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return all(self.field.is_zero(x) for x in self._reduce(vec))
-
-    def add(self, vec: Sequence) -> bool:
-        f = self.field
-        v = self._reduce(vec)
         lead = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
         if lead is None:
             return True

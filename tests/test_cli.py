@@ -1,5 +1,6 @@
 """CLI subcommands, output shapes, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -189,6 +190,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--cert", str(path))
         assert code == 2 and "unrecognized certificate shape" in err
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ('{"poly": [], "coeff_ring": "ZZ"}', "missing key 'ring'"),
+            ('"poly"', "expected a JSON object, not str"),
+            ('{"poly": 5, "ring": "ZZ", "coeff_ring": "ZZ", "ordering": "lex", "elements": []}',
+             "'int' object is not iterable"),
+        ],
+    )
+    def test_malformed_certificate(self, capsys, tmp_path, text, detail):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: malformed certificate: {detail}"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--cert", str(tmp_path / "nope.json"))
         assert code == 2 and err.startswith("error:")
@@ -235,6 +252,22 @@ class TestExperiment:
         _, out_b, _ = run(capsys, *argv)
         assert out_a == out_b
         assert "millis" not in out_a
+
+    @pytest.mark.parametrize(
+        "coeffs, ring, digest",
+        [
+            ("QQ", "Poly(QQ; x)",
+             "1c048236187ec70b7441574dc4b8f6ef0b834a3eacce310b78c86973d4b3c34a"),
+            ("GF(7)", "Poly(GF(7); x)",
+             "bc84479273ad6c0b580da9ae0215ea721de122924f28f540e64d8c066f50e42f"),
+        ],
+    )
+    def test_field_certificates_pinned(self, capsys, coeffs, ring, digest):
+        # The output is run_experiment(...).canonical_json() plus a newline.
+        code, out, _ = run(capsys, "experiment", "--seed", "42", "--trials", "20",
+                           "--coeffs", coeffs, "--ring", ring, "--canonical")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

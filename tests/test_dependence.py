@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -184,8 +185,8 @@ class TestSearchOtherConfigs:
         assert isinstance(verdict, Dependent)
 
 
-def _full_solve_trailing(cfg, elems, mons):
-    """The least candidate that solve_in_span puts in the span of all greater values."""
+def _span_vectors(cfg, elems, mons):
+    """The coefficient vector of each candidate's value, as the search builds them."""
     algebra = cfg.algebra
     values = []
     for mon in mons:
@@ -196,9 +197,13 @@ def _full_solve_trailing(cfg, elems, mons):
         values.append(value)
     if isinstance(algebra, PolyRing):
         basis = sorted({b for v in values for b in v.terms}, key=Monomial.natural_key)
-        vecs = [[v.coeff(b) for b in basis] for v in values]
-    else:
-        vecs = [[v] for v in values]
+        return [[v.coeff(b) for b in basis] for v in values]
+    return [[v] for v in values]
+
+
+def _full_solve_trailing(cfg, elems, mons):
+    """The least candidate that solve_in_span puts in the span of all greater values."""
+    vecs = _span_vectors(cfg, elems, mons)
     return next(
         (mons[i] for i in range(len(mons)) if solve_in_span(vecs[i], vecs[i + 1 :], ZZ) is not None),
         None,
@@ -273,6 +278,83 @@ class TestZZPrefixSolve:
             assert all(size < shortest for size in sizes[:-1])
             assert sizes[-1] == full or sizes[-1] < 2 * shortest
         assert dependent >= 100
+
+
+class TestFieldPrefixSolve:
+    """Fields solve on the same 1, 2, 4, ... prefixes and get a full solve's coefficients."""
+
+    @pytest.mark.parametrize("coeff, alg", [("QQ", "Poly(QQ; x)"), ("GF(7)", "Poly(GF(7); x)")])
+    def test_prefix_lengths_and_full_solve_coefficients(self, monkeypatch, coeff, alg):
+        cfg = AlgebraConfig(parse_ring_text(coeff), parse_ring_text(alg))
+        r = cfg.coeff_ring
+        calls = []
+
+        def recording(target, gens, scalars):
+            coeffs = solve_in_span(target, gens, scalars)
+            calls.append((len(gens), coeffs))
+            return coeffs
+
+        monkeypatch.setattr(dependence, "solve_in_span", recording)
+        rng = random.Random(f"{coeff} {alg} prefixes")
+        dependent = 0
+        for _ in range(40):
+            arity, maxdeg = rng.randint(1, 3), rng.randint(1, 4)
+            ordering = rng.choice([Lex(), GrevLex()])
+            elems = tuple(sample_element(rng, cfg.algebra, 2, 3) for _ in range(arity))
+            calls.clear()
+            verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
+            if not isinstance(verdict, Dependent):
+                assert calls == []
+                continue
+            dependent += 1
+            cert = verdict.certificate
+            mons = ordering.sort(monomials_up_to_degree(arity, maxdeg))
+            hit = mons.index(cert.trailing)
+            vecs = _span_vectors(cfg, elems, mons)
+            full = solve_in_span(vecs[hit], vecs[hit + 1 :], r)
+            sizes = [size for size, _ in calls]
+            assert sizes == [min(2**i, len(full)) for i in range(len(sizes))]
+            assert all(coeffs is None for _, coeffs in calls[:-1])
+            terms = {cert.trailing: r.one()}
+            terms.update((s, r.neg(c)) for s, c in zip(mons[hit + 1 :], full) if c)
+            assert cert.poly == Polynomial(r, terms)
+        assert dependent >= 20
+
+
+class TestCrossRingMetamorphic:
+    """A ZZ relation holds over QQ and, mod 7, over GF(7): the trailing monomial can only fall."""
+
+    def test_zz_relations_over_qq_and_gf7(self):
+        zz_cfg = AlgebraConfig(ZZ, PolyRing(ZZ, ("x",)))
+        qq_cfg = AlgebraConfig(QQ, PolyRing(QQ, ("x",)))
+        gf7 = PrimeField(7)
+        gf7_cfg = AlgebraConfig(gf7, PolyRing(gf7, ("x",)))
+        rng = random.Random(67)
+        dependent, smaller = 0, {"QQ": 0, "GF(7)": 0}
+        for _ in range(60):
+            arity, maxdeg = rng.randint(1, 3), rng.randint(2, 4)
+            ordering = rng.choice([Lex(), GrevLex()])
+            elems = tuple(sample_element(rng, zz_cfg.algebra, 2, 3) for _ in range(arity))
+            verdict = search_submonic_relation(zz_cfg, elems, ordering, maxdeg)
+            if not isinstance(verdict, Dependent):
+                continue
+            dependent += 1
+            trailing = verdict.certificate.trailing
+            images = {
+                "QQ": (qq_cfg, [Polynomial(QQ, {m: Fraction(c) for m, c in e.terms.items()})
+                                for e in elems]),
+                "GF(7)": (gf7_cfg, [Polynomial(gf7, {m: c % 7 for m, c in e.terms.items()})
+                                    for e in elems]),
+            }
+            for name, (cfg, image) in images.items():
+                other = search_submonic_relation(cfg, tuple(image), ordering, maxdeg)
+                assert isinstance(other, Dependent)
+                step = ordering.compare(other.certificate.trailing, trailing)
+                assert step <= 0
+                smaller[name] += step < 0
+        assert dependent >= 10
+        # The seed reaches the strict case over both fields, not only equality.
+        assert min(smaller.values()) >= 1
 
 
 class TestDegreeBoundMetamorphic:
