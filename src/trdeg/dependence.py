@@ -24,7 +24,7 @@ from .groebner import membership_cofactors
 from .intmath import ext_gcd
 from .linalg import solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
-from .orderings import GrevLex, Lex, MonomialOrdering, is_submonic, ordering_from_text
+from .orderings import GrevLex, Lex, MonomialOrdering, ordering_from_text
 from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
 from .polynomials import Polynomial, eval_poly, trailing_term
 from .rings import (
@@ -62,31 +62,31 @@ class AlgebraConfig:
     def __init__(self, coeff_ring: Ring, algebra: Ring):
         self.coeff_ring = coeff_ring
         self.algebra = algebra
-        self.kind, self.map_tag = self._classify(coeff_ring, algebra)
+        self.kind = self._classify(coeff_ring, algebra)
 
     @staticmethod
-    def _classify(r: Ring, a: Ring) -> tuple[str, str]:
+    def _classify(r: Ring, a: Ring) -> str:
         if isinstance(r, IntegerRing):
             if isinstance(a, IntegerRing):
-                return "zz", "identity"
+                return "zz"
             if isinstance(a, PolyRing) and isinstance(a.base, IntegerRing):
-                return "zz", "inclusion"
+                return "zz"
             if isinstance(a, ModularRing) and not isinstance(a, PrimeField):
-                return "zmod", "projection"
+                return "zmod"
         if isinstance(r, ModularRing) and not r.is_field:
             if r == a:
-                return "zmod", "identity"
+                return "zmod"
         if r.is_field:
             if r == a:
-                return "field", "identity"
+                return "field"
             if isinstance(a, PolyRing) and a.base == r:
-                return "field", "inclusion"
+                return "field"
             if isinstance(a, QuotRing) and a.poly_ring.base == r:
-                return "field", "inclusion"
+                return "field"
         if r == a and isinstance(r, (PolyRing, QuotRing)):
             base = r.base if isinstance(r, PolyRing) else r.poly_ring.base
             if base.is_field:
-                return "ideal", "identity"
+                return "ideal"
         raise UnsupportedConfigError(
             f"unsupported (coefficient ring, algebra) pair: "
             f"({ring_to_text(r)}, {ring_to_text(a)})"
@@ -94,7 +94,7 @@ class AlgebraConfig:
 
     def scalar_map(self) -> Callable:
         r, a = self.coeff_ring, self.algebra
-        if self.map_tag == "identity":
+        if r == a:
             return lambda c: c
         if isinstance(a, ModularRing):
             return lambda c: c % a.modulus
@@ -240,11 +240,7 @@ def _evaluate_monomials(
             values[m] = algebra.one()
             continue
         i = m.exps[0][0]
-        smaller = m.div(Monomial.var(i))
-        base = values.get(smaller)
-        if base is None:
-            base = _evaluate_monomials([smaller], elements, algebra)[smaller]
-        values[m] = algebra.mul(base, elements[i - 1])
+        values[m] = algebra.mul(values[m.div(Monomial.var(i))], elements[i - 1])
     return values
 
 

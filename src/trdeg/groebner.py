@@ -47,17 +47,6 @@ def _rep_zero(field, count: int) -> list[Polynomial]:
     return [Polynomial(field) for _ in range(count)]
 
 
-def _rep_unit(field, count: int, k: int) -> list[Polynomial]:
-    rep = _rep_zero(field, count)
-    rep[k] = Polynomial.constant(field, field.one())
-    return rep
-
-
-def _rep_combine(field, rep, other, mon: Monomial, coeff) -> list[Polynomial]:
-    """rep - coeff * mon * other, componentwise."""
-    return [a - b.mul_term(mon, coeff) for a, b in zip(rep, other)]
-
-
 def _divide(
     p: Polynomial,
     divisors: list[Polynomial],
@@ -114,7 +103,8 @@ def buchberger(
             continue
         basis.append(g)
         if track:
-            reps.append(_rep_unit(field, n_gens, k))
+            reps.append(_rep_zero(field, n_gens))
+            reps[-1][k] = Polynomial.constant(field, field.one())
 
     leads = [leading_term(g, ordering) for g in basis]
     # (i, j) -> (ordering key of the lcm, lcm) of the pair's leading monomials.
@@ -168,7 +158,7 @@ def buchberger(
         leads.append(leading_term(r, ordering))
         add_pairs((k, new_index) for k in range(new_index))
 
-    return _reduce_basis(basis, reps if track else None, ordering, field, track)
+    return _reduce_basis(basis, reps if track else None, ordering, field)
 
 
 def _reduce_basis(
@@ -176,7 +166,6 @@ def _reduce_basis(
     reps: Optional[list[list[Polynomial]]],
     ordering: MonomialOrdering,
     field,
-    track: bool,
 ) -> GroebnerBasis:
     # Minimal: drop any element whose leading monomial another one divides.
     order_key = lambda idx: leading_term(basis[idx], ordering)[0].natural_key()
@@ -188,7 +177,7 @@ def _reduce_basis(
         ):
             keep.append(idx)
     polys = [basis[k] for k in keep]
-    kept_reps = [reps[k] for k in keep] if track else None
+    kept_reps = [reps[k] for k in keep] if reps is not None else None
 
     # Inter-reduce tails to a fixpoint; leading monomials are already
     # pairwise indivisible so no element collapses to zero.
@@ -201,7 +190,7 @@ def _reduce_basis(
             r, quots = _divide(polys[i], others, leads, ordering, field)
             if r != polys[i]:
                 changed = True
-                if track:
+                if reps is not None:
                     rep = kept_reps[i]
                     other_reps = kept_reps[:i] + kept_reps[i + 1 :]
                     for q, other in zip(quots, other_reps):
@@ -215,13 +204,13 @@ def _reduce_basis(
         if not field.is_one(lc):
             inv = field.div(field.one(), lc)
             polys[i] = g.scale(inv)
-            if track:
+            if reps is not None:
                 kept_reps[i] = [c.scale(inv) for c in kept_reps[i]]
 
     lead_key = lambda k: ordering.key(leading_term(polys[k], ordering)[0])
     final = sorted(range(len(polys)), key=lead_key)
     polys = [polys[k] for k in final]
-    if track:
+    if reps is not None:
         kept_reps = [kept_reps[k] for k in final]
     return GroebnerBasis(field, ordering, polys, kept_reps)
 

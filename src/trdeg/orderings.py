@@ -311,9 +311,15 @@ def _parse_priority(body: str) -> tuple[int, ...]:
 
 
 # Weight separation: find positive integer weights w with
-# w(trailing) < w(m) for every m in above.  Feasibility is decided exactly by
-# Fourier-Motzkin elimination over Q; the returned integer vector minimizes
-# max(w) and is lexicographically least among those.
+# w(trailing) < w(m) for every m in above, minimizing max(w) and then
+# lexicographically least.  _box_lex_min answers for one cap on max(w), and
+# feasibility only grows with the cap: caps 1, 2, 4, ... are tried until one
+# is feasible, then the least feasible cap is binary-searched.  The doubling
+# stops at (n*D)^n with D = max(1, max|delta|): a vertex v of
+# {w >= 1, delta.w >= 1} solves A v = 1 for a nonsingular integer n x n
+# matrix A, so |det A| v is an integer solution whose entries are Cramer
+# determinants, at most (sqrt(n)*D)^n by Hadamard's inequality.  If that cap
+# is infeasible, no weights exist.
 
 
 def separating_weights(
@@ -331,84 +337,27 @@ def separating_weights(
     deltas = []
     for m in above:
         deltas.append([m.exponent(i) - trailing.exponent(i) for i in range(1, n + 1)])
+    bound = (n * max([1] + [abs(x) for d in deltas for x in d])) ** n
 
-    rational = _fourier_motzkin_point(deltas, n)
-    if rational is None:
-        raise InternalInconsistencyError(
-            "no separating weights exist although the ordering ranks the "
-            "monomials strictly; global orderings make this impossible"
-        )
-    upper = max(_scale_to_integers(rational))
-
-    lo, hi = 1, upper
+    # Every cap below lo is infeasible; found is the answer at cap hi.
+    lo = hi = 1
+    found = _box_lex_min(deltas, n, hi)
+    while found is None:
+        if hi >= bound:
+            raise InternalInconsistencyError(
+                "no separating weights exist although the ordering ranks the "
+                "monomials strictly; global orderings make this impossible"
+            )
+        lo, hi = hi + 1, min(2 * hi, bound)
+        found = _box_lex_min(deltas, n, hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _box_lex_min(deltas, n, mid) is not None:
-            hi = mid
-        else:
+        at_mid = _box_lex_min(deltas, n, mid)
+        if at_mid is None:
             lo = mid + 1
-    found = _box_lex_min(deltas, n, lo)
-    if found is None:
-        raise InternalInconsistencyError("integer refinement lost feasibility")
-    return tuple(found)
-
-
-def _fourier_motzkin_point(deltas: list[list[int]], n: int) -> Optional[list[Fraction]]:
-    """A rational point with every w_i >= 1 satisfying dot(delta, w) >= 1, or None."""
-    constraints: list[tuple[list[Fraction], Fraction]] = []
-    for d in deltas:
-        constraints.append(([Fraction(x) for x in d], Fraction(1)))
-    for i in range(n):
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        constraints.append((unit, Fraction(1)))
-
-    stack = []
-    current = constraints
-    for k in range(n - 1, 0, -1):
-        pos = [c for c in current if c[0][k] > 0]
-        neg = [c for c in current if c[0][k] < 0]
-        rest = [c for c in current if c[0][k] == 0]
-        stack.append((k, pos, neg))
-        combined = list(rest)
-        for cp, rp in pos:
-            for cq, rq in neg:
-                a, b = -cq[k], cp[k]
-                coeffs = [a * x + b * y for x, y in zip(cp, cq)]
-                combined.append((coeffs, a * rp + b * rq))
-        current = combined
-
-    lo = Fraction(1)
-    hi = None
-    for coeffs, rhs in current:
-        c0 = coeffs[0]
-        if c0 == 0:
-            if rhs > 0:
-                return None
-        elif c0 > 0:
-            lo = max(lo, rhs / c0)
         else:
-            bound = rhs / c0
-            hi = bound if hi is None else min(hi, bound)
-    if hi is not None and lo > hi:
-        return None
-
-    point: list[Optional[Fraction]] = [None] * n
-    point[0] = lo
-    for k, pos, neg in reversed(stack):
-        lo_k = Fraction(1)
-        hi_k = None
-        for coeffs, rhs in pos:
-            rest = sum(coeffs[i] * point[i] for i in range(len(coeffs)) if i != k and coeffs[i] != 0)
-            lo_k = max(lo_k, (rhs - rest) / coeffs[k])
-        for coeffs, rhs in neg:
-            rest = sum(coeffs[i] * point[i] for i in range(len(coeffs)) if i != k and coeffs[i] != 0)
-            bound = (rhs - rest) / coeffs[k]
-            hi_k = bound if hi_k is None else min(hi_k, bound)
-        if hi_k is not None and lo_k > hi_k:
-            return None
-        point[k] = lo_k
-    return point  # type: ignore[return-value]
+            hi, found = mid, at_mid
+    return tuple(found)
 
 
 def _box_lex_min(deltas: list[list[int]], n: int, cap: int) -> Optional[list[int]]:

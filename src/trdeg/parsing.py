@@ -201,7 +201,7 @@ def _from_fraction(ring: Ring, q: Fraction):
     raise TrdegError(f"rational literal {q} needs a field, not {ring_to_text(ring)}")
 
 
-def _scope(ring: Ring, reduce_into=None) -> dict:
+def _scope(ring: Ring) -> dict:
     """Map every visible variable name to an element of the given ring.
 
     Inner ring variables appear as constants of the outer ring; a name used

@@ -13,7 +13,6 @@ from typing import Iterator
 
 from .errors import TrdegError
 from .intmath import is_probable_prime, modinv
-from .monomials import Monomial
 from .polynomials import Polynomial
 
 

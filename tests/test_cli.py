@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trdeg
-from trdeg import coquand_lombardi, dependence
+from trdeg import cli, coquand_lombardi, dependence
 from trdeg.cli import main
 
 
@@ -175,6 +175,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--cert", str(path))
         assert code == 1
         assert out.strip() == "verification failed: relation does not evaluate to zero"
+
+    def test_valid_certificate_checked_once(self, capsys, tmp_path, monkeypatch):
+        code, out, _ = run(capsys, "dep", "--elems", "12,18", "--order", "lex",
+                           "--maxdeg", "3", "--json")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        calls = []
+        original = dependence.check_certificate
+
+        def counting(cert):
+            calls.append(cert)
+            return original(cert)
+
+        # from_dict reaches it through dependence, the CLI through its own name
+        monkeypatch.setattr(dependence, "check_certificate", counting)
+        monkeypatch.setattr(cli, "check_certificate", counting)
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        assert code == 0 and out.strip() == "verified"
+        assert len(calls) == 1
 
     def test_cl_certificate_file(self, capsys, tmp_path):
         code, out, _ = run(capsys, "cl", "--ring", "Zmod(12)", "--elems", "2",

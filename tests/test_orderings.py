@@ -1,5 +1,6 @@
 """Monomial orderings: pinned comparisons, axioms, weights."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,14 +11,16 @@ from propcheck import (
     check_univariate_agreement,
     check_weight_graded_consistency,
     ordering_families,
+    random_monomial,
 )
-from trdeg.errors import ParseError
-from trdeg.monomials import ONE, Monomial
+from trdeg.errors import InternalInconsistencyError, ParseError
+from trdeg.monomials import ONE, Monomial, monomials_up_to_degree
 from trdeg.orderings import (
     GrevLex,
     GrLex,
     Lex,
     MatrixOrder,
+    MonomialOrdering,
     WeightedLex,
     is_submonic,
     is_weight_graded,
@@ -181,8 +184,7 @@ class TestSeparatingWeights:
 
     def test_strict_inequalities_always_hold(self):
         rng = random.Random(41)
-        from propcheck import random_monomial
-
+        results = []
         for _ in range(200):
             ordering = rng.choice(ordering_families(3))
             trailing = random_monomial(rng, 3, 4)
@@ -196,6 +198,7 @@ class TestSeparatingWeights:
             if not above:
                 continue
             w = separating_weights(trailing, sorted(above, key=Monomial.natural_key), ordering)
+            results.append(w)
             assert all(x >= 1 for x in w)
 
             def weigh(mon):
@@ -203,6 +206,53 @@ class TestSeparatingWeights:
 
             for cand in above:
                 assert weigh(trailing) < weigh(cand)
+        # the least-cap, lexicographically least weights of every case
+        assert len(results) == 200
+        assert self._digest(results) == (
+            "102467a01a974220a3e3f72f2f41bba9d15226b6d41a7fa1557f5cd70fb3c02f"
+        )
+
+    @staticmethod
+    def _digest(results):
+        text = "\n".join(",".join(map(str, w)) for w in results)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_criterion_6_distribution_pinned(self):
+        # the seed-2026 inputs of acceptance criterion 6; the hash pins the
+        # least-cap, lexicographically least weights of every case
+        rng = random.Random(2026)
+        results = []
+        for _ in range(500):
+            nvars = rng.randint(2, 4)
+            ordering = rng.choice(ordering_families(nvars))
+            trailing = random_monomial(rng, nvars, 4)
+            pool = [
+                mon for mon in monomials_up_to_degree(nvars, 6) if ordering.less(trailing, mon)
+            ]
+            results.append(separating_weights(trailing, rng.sample(pool, 5), ordering))
+        assert self._digest(results) == (
+            "3c3460bfb1dfc8add96832d000d5356dfbf04516492ccea38c494e206186a606"
+        )
+
+    def test_least_cap_between_powers_of_two(self):
+        # w1 + w3 >= 4*w2 + 1: the least cap is 3, where (2, 1, 3) is least;
+        # cap 4 would allow the lexicographically smaller (1, 1, 4)
+        got = separating_weights(m((2, 4)), [m((1, 1), (3, 1))], WeightedLex((2, 1, 3)))
+        assert got == (2, 1, 3)
+
+    def test_chained_gaps_exceed_n_times_d(self):
+        # w1 >= 2*w2 + 1 and w2 >= 2*w3 + 1 need w1 = 7 > n*D = 6
+        got = separating_weights(m((2, 2), (3, 2)), [m((1, 1), (3, 2)), m((2, 3))], Lex())
+        assert got == (7, 3, 1)
+
+    def test_non_global_ordering_has_no_weights(self):
+        class NegDegree(MonomialOrdering):
+            # 1 is greatest here, so no positive weight puts x1 below it
+            def key(self, mon):
+                return (-mon.degree,)
+
+        with pytest.raises(InternalInconsistencyError):
+            separating_weights(m((1, 1)), [ONE], NegDegree())
 
 
 class TestOrderingText:

@@ -22,3 +22,41 @@ def test_no_assert_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert found == []
+
+
+def test_private_functions_are_used():
+    # A module-level private function that nothing else in the package names
+    # is dead code: no caller, and not part of the public surface.
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(trdeg.__file__).parent.glob("*.py"))
+    }
+    defs = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.alias):
+                used = node.name
+            else:
+                continue
+            uses.setdefault(used, []).append((name, node.lineno))
+    unused = [
+        f"{module}:{node.lineno}: {node.name}"
+        for module, node in defs
+        if not any(
+            where != module or not node.lineno <= line <= node.end_lineno
+            for where, line in uses.get(node.name, [])
+        )
+    ]
+    assert unused == []
