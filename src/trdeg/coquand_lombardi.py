@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .dependence import AlgebraConfig, SubmonicCertificate, check_certificate
+from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from .groebner import membership_cofactors
+from .groebner import ideal_cofactors
 from .linalg import solve_in_span
 from .monomials import Monomial, compositions
-from .orderings import GrevLex, Lex
+from .orderings import Lex
 from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
 from .polynomials import Polynomial
 from .rings import QuotRing, Ring
@@ -99,12 +99,7 @@ def _membership(ring: Ring, target, gens: list) -> Optional[list]:
     through a 1-dimensional span solve, which rejects any other ring.
     """
     if isinstance(ring, QuotRing):
-        field = ring.poly_ring.base
-        relations = list(ring.relations)
-        cof = membership_cofactors(target, gens + relations, GrevLex(), field)
-        if cof is None:
-            return None
-        return [ring.reduce(c) for c in cof[: len(gens)]]
+        return ideal_cofactors(target, gens, ring)
     return solve_in_span([target], [[g] for g in gens], ring)
 
 
@@ -192,13 +187,8 @@ def cl_to_submonic(cert: CLCertificate) -> SubmonicCertificate:
         degree_bound=max(
             sum(cert.exponents), max(sum(cert.exponents[: j + 1]) + 1 for j in range(n))
         ),
-        verified=False,
     )
-    reason = check_certificate(out)
-    if reason is not None:
-        raise InternalInconsistencyError(f"conversion produced an invalid certificate: {reason}")
-    out.verified = True
-    return out
+    return mark_verified(out, "conversion produced an invalid certificate")
 
 
 @dataclass

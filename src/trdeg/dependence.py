@@ -20,11 +20,11 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from .groebner import membership_cofactors
+from .groebner import ideal_cofactors
 from .intmath import ext_gcd
 from .linalg import solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
-from .orderings import GrevLex, Lex, MonomialOrdering, ordering_from_text
+from .orderings import Lex, MonomialOrdering, ordering_from_text
 from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
 from .polynomials import Polynomial, eval_poly, trailing_term
 from .rings import (
@@ -299,22 +299,16 @@ def _search_span(
     if isinstance(algebra, (PolyRing, QuotRing)):
         poly_vals = [values[m] for m in mons]
         basis = _coefficient_basis(poly_vals)
-        base = algebra.base if isinstance(algebra, PolyRing) else algebra.poly_ring.base
         vecs = [[v.coeff(b) for b in basis] for v in poly_vals]
         dim = len(basis)
     else:
         vecs = [[values[m]] for m in mons]
-        base = None
         dim = 1
 
-    if config.kind == "zz":
-        scalars: Ring = ZZ
-    elif config.kind == "zmod":
-        scalars = algebra if isinstance(algebra, ModularRing) else config.coeff_ring
-    else:  # field span
-        scalars = config.coeff_ring
-        if base is not None and base != scalars:
-            raise UnsupportedConfigError("algebra base field differs from coefficients")
+    # A Z/n span runs over the algebra Z/n, a field span over the
+    # coefficient field, which _classify makes the algebra's base field.
+    kind = config.kind
+    scalars = ZZ if kind == "zz" else algebra if kind == "zmod" else config.coeff_ring
     structure = span_structure(scalars, dim)
 
     # One reversed pass: after processing index i the structure spans exactly
@@ -358,26 +352,15 @@ def _search_ideal(
     values: dict[Monomial, object],
 ) -> DependenceVerdict:
     algebra = config.algebra
-    quotient = isinstance(algebra, QuotRing)
-    field = algebra.poly_ring.base if quotient else algebra.base
-    internal = GrevLex()
-    relations = list(algebra.relations) if quotient else []
-
     for i, t in enumerate(mons):
-        target = values[t]
-        gens = [values[s] for s in mons[i + 1 :]]
-        cof = membership_cofactors(target, gens + relations, internal, field)
+        cof = ideal_cofactors(values[t], [values[s] for s in mons[i + 1 :]], algebra)
         if cof is None:
             continue
-        cof = cof[: len(gens)]
-        if quotient:
-            cof = [algebra.reduce(c) for c in cof]
         terms = {t: algebra.one()}
         for s, c in zip(mons[i + 1 :], cof):
             if not algebra.is_zero(c):
                 terms[s] = algebra.neg(c)
-        f = Polynomial(algebra, terms)
-        return _package(config, elems, ordering, maxdeg, f, t)
+        return _package(config, elems, ordering, maxdeg, Polynomial(algebra, terms), t)
     return NoRelationUpTo(maxdeg)
 
 
@@ -396,13 +379,18 @@ def _package(
         poly=f,
         trailing=trailing,
         degree_bound=maxdeg,
-        verified=False,
     )
+    return Dependent(mark_verified(cert, "search produced an invalid certificate"))
+
+
+def mark_verified(cert: SubmonicCertificate, message: str) -> SubmonicCertificate:
+    """Set cert.verified once check_certificate passes it; otherwise raise
+    InternalInconsistencyError with message and the reason."""
     reason = check_certificate(cert)
     if reason is not None:
-        raise InternalInconsistencyError(f"search produced an invalid certificate: {reason}")
+        raise InternalInconsistencyError(f"{message}: {reason}")
     cert.verified = True
-    return Dependent(cert)
+    return cert
 
 
 def pid_pair_certificate(a: int, b: int) -> SubmonicCertificate:
@@ -441,13 +429,8 @@ def pid_pair_certificate(a: int, b: int) -> SubmonicCertificate:
         poly=Polynomial(ZZ, terms),
         trailing=Monomial.var(2, n) if n else Monomial(),
         degree_bound=n + 1,
-        verified=False,
     )
-    reason = check_certificate(cert)
-    if reason is not None:
-        raise InternalInconsistencyError(f"pid construction failed: {reason}")
-    cert.verified = True
-    return cert
+    return mark_verified(cert, "pid construction failed")
 
 
 @dataclass

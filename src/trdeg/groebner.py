@@ -4,9 +4,13 @@ tracking so ideal membership can return an explicit witness.
 Pair selection is the normal strategy (least lcm under the ordering, ties to
 the least index pair); each pair's lcm and its ordering key are computed
 once, when the pair is formed.  Pairs are skipped by the coprime-leading-
-monomial criterion and the chain criterion.  The returned basis is reduced
+monomial criterion and the chain criterion.  Each element is made monic as
+it enters the basis, together with its cofactor row, so neither S-polynomials
+nor division divide by a leading coefficient.  The returned basis is reduced
 (minimal, inter-reduced, monic, sorted by ascending leading monomial), hence
-canonical for the ideal and ordering.
+canonical for the ideal and ordering.  Inter-reduction takes one pass: the
+leading monomials of a minimal basis are pairwise indivisible and reducing a
+tail never changes them, so a tail reduced once stays reduced.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError
 from .monomials import Monomial
-from .orderings import MonomialOrdering
+from .orderings import GrevLex, MonomialOrdering
 from .polynomials import Polynomial, leading_term
+from .rings import QuotRing
 
 
 class GroebnerBasis:
@@ -32,60 +37,62 @@ class GroebnerBasis:
         self.ordering = ordering
         self.polys = polys
         self.reps = reps  # reps[i][k]: cofactor of gens[k] in polys[i]
+        self._leads = [leading_term(g, ordering)[0] for g in polys]
 
     def __iter__(self):
         return iter(self.polys)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [leading_term(g, self.ordering)[0] for g in self.polys]
+        return list(self._leads)
 
     def is_unit_ideal(self) -> bool:
-        return any(lm.is_one() for lm in self.leading_monomials())
+        return any(lm.is_one() for lm in self._leads)
 
 
-def _rep_zero(field, count: int) -> list[Polynomial]:
-    return [Polynomial(field) for _ in range(count)]
+def _rep_minus(rep, quots, reps) -> list[Polynomial]:
+    """rep - sum(quots_i * reps_i), row by row."""
+    for q, other in zip(quots, reps):
+        if not q.is_zero():
+            rep = [a - q * b for a, b in zip(rep, other)]
+    return rep
 
 
 def _divide(
     p: Polynomial,
     divisors: list[Polynomial],
-    leads: list[tuple[Monomial, object]],
+    leads: list[Monomial],
     ordering: MonomialOrdering,
     field,
 ) -> tuple[Polynomial, list[Polynomial]]:
-    """Full division: p == sum(q_i * divisors_i) + r with no monomial of r
-    divisible by any divisor's leading monomial."""
-    remainder = Polynomial(field)
-    quotients = [Polynomial(field) for _ in divisors]
+    """Full division by monic divisors with leading monomials leads:
+    p == sum(q_i * divisors_i) + r with no monomial of r divisible by any
+    lead.  The leading monomial of the work strictly falls, so each quotient
+    and remainder monomial is written once."""
+    remainder: dict[Monomial, object] = {}
+    quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
     work = p
     while not work.is_zero():
         lm, lc = leading_term(work, ordering)
-        for i, (glm, glc) in enumerate(leads):
+        for i, glm in enumerate(leads):
             if glm.divides(lm):
                 mon = lm.div(glm)
-                c = field.div(lc, glc)
-                work = work - divisors[i].mul_term(mon, c)
-                quotients[i] = quotients[i] + Polynomial(field, {mon: c})
+                work = work - divisors[i].mul_term(mon, lc)
+                quotients[i][mon] = lc
                 break
         else:
-            t = Polynomial(field, {lm: lc})
-            remainder = remainder + t
-            work = work - t
-    return remainder, quotients
+            remainder[lm] = lc
+            work = work - Polynomial(field, {lm: lc})
+    return Polynomial(field, remainder), [Polynomial(field, q) for q in quotients]
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    leads = [leading_term(g, gb.ordering) for g in gb.polys]
-    r, _ = _divide(p, gb.polys, leads, gb.ordering, gb.field)
-    return r
+    return _divide(p, gb.polys, gb._leads, gb.ordering, gb.field)[0]
 
 
 def normal_form_with_quotients(
     p: Polynomial, gb: GroebnerBasis
 ) -> tuple[Polynomial, list[Polynomial]]:
-    leads = [leading_term(g, gb.ordering) for g in gb.polys]
-    return _divide(p, gb.polys, leads, gb.ordering, gb.field)
+    return _divide(p, gb.polys, gb._leads, gb.ordering, gb.field)
 
 
 def buchberger(
@@ -95,120 +102,94 @@ def buchberger(
     track: bool = False,
 ) -> GroebnerBasis:
     gens = list(gens)
-    n_gens = len(gens)
+    one = field.one()
     basis: list[Polynomial] = []
+    leads: list[Monomial] = []
     reps: list[list[Polynomial]] = []
-    for k, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        basis.append(g)
-        if track:
-            reps.append(_rep_zero(field, n_gens))
-            reps[-1][k] = Polynomial.constant(field, field.one())
-
-    leads = [leading_term(g, ordering) for g in basis]
     # (i, j) -> (ordering key of the lcm, lcm) of the pair's leading monomials.
     pending: dict[tuple[int, int], tuple[tuple, Monomial]] = {}
 
-    def add_pairs(pairs) -> None:
-        for i, j in pairs:
-            lcm = leads[i][0].lcm(leads[j][0])
-            pending[i, j] = (ordering.key(lcm), lcm)
+    def append(g: Polynomial, rep: Optional[list[Polynomial]]) -> None:
+        """Add g and its cofactor row, both scaled so g is monic, and its pairs."""
+        lm, lc = leading_term(g, ordering)
+        if not field.is_one(lc):
+            inv = field.div(one, lc)
+            g = g.scale(inv)
+            if track:
+                rep = [c.scale(inv) for c in rep]
+        basis.append(g)
+        if track:
+            reps.append(rep)
+        for k, other in enumerate(leads):
+            lcm = other.lcm(lm)
+            pending[k, len(leads)] = (ordering.key(lcm), lcm)
+        leads.append(lm)
 
-    add_pairs(combinations(range(len(basis)), 2))
+    for k, g in enumerate(gens):
+        if not g.is_zero():
+            unit = [Polynomial(field) for _ in gens]
+            unit[k] = Polynomial.constant(field, one)
+            append(g, unit)
+
     while pending:
         best = min(pending, key=lambda p: (pending[p][0], p))
         best_lcm = pending.pop(best)[1]
         i, j = best
-        lm_i, lm_j = leads[i][0], leads[j][0]
+        lm_i, lm_j = leads[i], leads[j]
         if best_lcm == lm_i * lm_j:
             continue  # coprime leading monomials reduce to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if leads[k][0].divides(best_lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
+        if any(
+            k not in best
+            and leads[k].divides(best_lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue  # chain criterion
 
         mon_i = best_lcm.div(lm_i)
         mon_j = best_lcm.div(lm_j)
-        inv_i = field.div(field.one(), leads[i][1])
-        inv_j = field.div(field.one(), leads[j][1])
-        s = basis[i].mul_term(mon_i, inv_i) - basis[j].mul_term(mon_j, inv_j)
+        s = basis[i].mul_term(mon_i, one) - basis[j].mul_term(mon_j, one)
         r, quots = _divide(s, basis, leads, ordering, field)
         if r.is_zero():
             continue
+        rep = None
         if track:
             rep = [
-                a.mul_term(mon_i, inv_i) - b.mul_term(mon_j, inv_j)
+                a.mul_term(mon_i, one) - b.mul_term(mon_j, one)
                 for a, b in zip(reps[i], reps[j])
             ]
-            for q, other in zip(quots, reps):
-                if not q.is_zero():
-                    rep = [a - q * b for a, b in zip(rep, other)]
-            reps.append(rep)
-        new_index = len(basis)
-        basis.append(r)
-        leads.append(leading_term(r, ordering))
-        add_pairs((k, new_index) for k in range(new_index))
+            rep = _rep_minus(rep, quots, reps)
+        append(r, rep)
 
-    return _reduce_basis(basis, reps if track else None, ordering, field)
+    return _reduce_basis(basis, leads, reps if track else None, ordering, field)
 
 
 def _reduce_basis(
     basis: list[Polynomial],
+    leads: list[Monomial],
     reps: Optional[list[list[Polynomial]]],
     ordering: MonomialOrdering,
     field,
 ) -> GroebnerBasis:
     # Minimal: drop any element whose leading monomial another one divides.
-    order_key = lambda idx: leading_term(basis[idx], ordering)[0].natural_key()
     keep: list[int] = []
-    for idx in sorted(range(len(basis)), key=order_key):
-        lm = leading_term(basis[idx], ordering)[0]
-        if not any(
-            leading_term(basis[k], ordering)[0].divides(lm) for k in keep
-        ):
+    for idx in sorted(range(len(basis)), key=lambda k: leads[k].natural_key()):
+        if not any(leads[k].divides(leads[idx]) for k in keep):
             keep.append(idx)
     polys = [basis[k] for k in keep]
+    leads = [leads[k] for k in keep]
     kept_reps = [reps[k] for k in keep] if reps is not None else None
 
-    # Inter-reduce tails to a fixpoint; leading monomials are already
-    # pairwise indivisible so no element collapses to zero.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            leads = [leading_term(g, ordering) for g in others]
-            r, quots = _divide(polys[i], others, leads, ordering, field)
-            if r != polys[i]:
-                changed = True
-                if reps is not None:
-                    rep = kept_reps[i]
-                    other_reps = kept_reps[:i] + kept_reps[i + 1 :]
-                    for q, other in zip(quots, other_reps):
-                        if not q.is_zero():
-                            rep = [a - q * b for a, b in zip(rep, other)]
-                    kept_reps[i] = rep
-                polys[i] = r
+    # Inter-reduce tails; one pass suffices (see the module docstring).
+    for i in range(len(polys)):
+        others = leads[:i] + leads[i + 1 :]
+        r, quots = _divide(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)
+        polys[i] = r
+        if reps is not None:
+            kept_reps[i] = _rep_minus(kept_reps[i], quots, kept_reps[:i] + kept_reps[i + 1 :])
 
-    for i, g in enumerate(polys):
-        _, lc = leading_term(g, ordering)
-        if not field.is_one(lc):
-            inv = field.div(field.one(), lc)
-            polys[i] = g.scale(inv)
-            if reps is not None:
-                kept_reps[i] = [c.scale(inv) for c in kept_reps[i]]
-
-    lead_key = lambda k: ordering.key(leading_term(polys[k], ordering)[0])
-    final = sorted(range(len(polys)), key=lead_key)
+    final = sorted(range(len(polys)), key=lambda k: ordering.key(leads[k]))
     polys = [polys[k] for k in final]
     if reps is not None:
         kept_reps = [kept_reps[k] for k in final]
@@ -216,10 +197,7 @@ def _reduce_basis(
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:
-    gb = buchberger(gens, ordering, field)
-    if not gb.polys:
-        return f.is_zero()
-    return normal_form(f, gb).is_zero()
+    return normal_form(f, buchberger(gens, ordering, field)).is_zero()
 
 
 def membership_cofactors(
@@ -231,12 +209,10 @@ def membership_cofactors(
     """
     gens = list(gens)
     gb = buchberger(gens, ordering, field, track=True)
-    if not gb.polys:
-        return _rep_zero(field, len(gens)) if f.is_zero() else None
     r, quots = normal_form_with_quotients(f, gb)
     if not r.is_zero():
         return None
-    cof = _rep_zero(field, len(gens))
+    cof = [Polynomial(field) for _ in gens]
     for q, rep in zip(quots, gb.reps):
         if not q.is_zero():
             cof = [a + q * b for a, b in zip(cof, rep)]
@@ -246,6 +222,19 @@ def membership_cofactors(
     if total != f:
         raise InternalInconsistencyError("cofactor identity failed; tracking bug")
     return cof
+
+
+def ideal_cofactors(target: Polynomial, gens: list, ring) -> Optional[list]:
+    """Cofactors c in ring with target == sum(c_k * gens_k), or None.
+
+    ring is a polynomial ring over a field or a quotient of one; a quotient's
+    relations join the generators, and its cofactors come back reduced.
+    """
+    if isinstance(ring, QuotRing):
+        relations = list(ring.relations)
+        cof = membership_cofactors(target, gens + relations, GrevLex(), ring.poly_ring.base)
+        return None if cof is None else [ring.reduce(c) for c in cof[: len(gens)]]
+    return membership_cofactors(target, gens, GrevLex(), ring.base)
 
 
 def staircase_dimension_from_gb(gb: GroebnerBasis, nvars: int) -> int:

@@ -1,5 +1,6 @@
 """Buchberger, normal forms, ideal membership, staircase dimension."""
 
+import hashlib
 import random
 
 from propcheck import check_spoly_reduction, random_monomial
@@ -12,7 +13,7 @@ from trdeg.groebner import (
     staircase_dimension,
     staircase_dimension_from_gb,
 )
-from trdeg.orderings import GrevLex, GrLex, Lex
+from trdeg.orderings import GrevLex, GrLex, Lex, ordering_from_text
 from trdeg.parsing import parse_elem, parse_ring_text
 from trdeg.polynomials import Polynomial
 from trdeg.rings import QQ, PrimeField
@@ -195,6 +196,58 @@ class TestStaircaseDimension:
         assert staircase_dimension_from_gb(gb, 3) == staircase_dimension(
             gens, 3, GrevLex(), QQ
         )
+
+
+class TestPinnedOutputs:
+    # A reduced basis is unique, but cofactors and quotients depend on the
+    # order of every elimination step, and no other test pins them.  The
+    # digest covers bases, cofactor rows, member and non-member cofactors,
+    # normal forms and quotients on 360 seeded systems.
+    def test_seeded_systems_pinned(self):
+        rng = random.Random(2026)
+        digest = hashlib.sha256()
+        outcomes = {"member": 0, "nonmember": 0}
+        for field in (QQ, PrimeField(7), PrimeField(2)):
+            for text in ("lex", "grlex", "grevlex", "lex:x3>x1>x2", "wlex:2,1,3"):
+                ordering = ordering_from_text(text)
+                for _ in range(24):
+                    gens = [random_poly(rng, field, 3) for _ in range(rng.randint(2, 3))]
+                    gb = buchberger(gens, ordering, field, track=True)
+                    member = Polynomial(field)
+                    for g in gens:
+                        member = member + random_poly(rng, field, 2) * g
+                    probe = random_poly(rng, field, 4)
+                    cofs = [membership_cofactors(f, gens, ordering, field) for f in (member, probe)]
+                    outcomes["nonmember"] += cofs[1] is None
+                    outcomes["member"] += cofs[0] is not None
+                    r, quots = normal_form_with_quotients(probe, gb)
+                    assert normal_form(probe, gb) == r
+                    record = (
+                        [poly_text(g) for g in gb.polys],
+                        [[poly_text(c) for c in rep] for rep in gb.reps],
+                        [None if c is None else [poly_text(p) for p in c] for c in cofs],
+                        poly_text(r),
+                        [poly_text(q) for q in quots],
+                    )
+                    digest.update(repr(record).encode())
+        assert outcomes == {"member": 360, "nonmember": 165}
+        assert digest.hexdigest() == (
+            "4ccadd0ce41388c2e8a63e4dc1fb7e47716d009178a2c0dc041b273f5609aa45"
+        )
+
+
+def random_poly(rng, field, terms):
+    return Polynomial(
+        field,
+        [
+            (random_monomial(rng, 3, 2), field.from_int(rng.randint(-3, 3)))
+            for _ in range(rng.randint(1, terms))
+        ],
+    )
+
+
+def poly_text(p):
+    return sorted((tuple(m), str(c)) for m, c in p.terms.items())
 
 
 def term_sets_of(ring, *texts):

@@ -60,3 +60,15 @@ def test_private_functions_are_used():
         )
     ]
     assert unused == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # Every name the package imports is public, and nothing else is.
+    tree = ast.parse(Path(trdeg.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(trdeg.__all__) == sorted(imported)
