@@ -4,6 +4,9 @@ Everything here is deterministic and exact.  One row-style Hermite
 elimination, _hnf_ops, serves every integer need: hnf, the span solve and
 the incremental lattice.  One field elimination, FieldEchelon, serves every
 field need: span membership, and the span solve on the transposed system.
+Its rows are plain ints, residues mod p over GF(p) and primitive integer
+multiples of the reduced-echelon rows over QQ, so Fractions appear only in
+a solve's answer, each coefficient the ratio of two row entries.
 Z/n lifts to ZZ with explicit modulus rows.  The Hermite form is computed
 with a log of its row operations (swap, negate, subtract a multiple of
 another row).  hnf replays the log on the identity to build the unimodular
@@ -14,9 +17,11 @@ and never builds the transform; IntLattice keeps only the form itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import UnsupportedConfigError
+from .intmath import modinv
 from .rings import IntegerRing, ModularRing, Ring
 
 
@@ -182,7 +187,9 @@ def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
     # Reduced echelon form of [G^T | target]: column j has a pivot exactly when
     # gens[j] is independent of the earlier generators, and a pivot in the
     # last column means target is outside the span.  Otherwise the last column
-    # holds the unique coefficients on the pivot generators; the rest get 0.
+    # of the reduced-echelon row with pivot j, row[k] / row[j] (FieldEchelon
+    # keeps a multiple of it), is the unique coefficient of gens[j]; the
+    # generators without a pivot get 0.
     k = len(gens)
     echelon = FieldEchelon(k + 1, field)
     for i, t in enumerate(target):
@@ -191,7 +198,7 @@ def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
         return None
     coeffs = [field.zero()] * k
     for j, row in echelon.rows.items():
-        coeffs[j] = row[k]
+        coeffs[j] = field.div(row[k], row[j])
     return coeffs
 
 
@@ -232,11 +239,20 @@ class IntLattice:
 
 
 class FieldEchelon:
-    """Incremental reduced row echelon form over a field ring.
+    """Incremental reduced row echelon form over QQ or GF(p), on plain-int rows.
 
-    Each row has a 1 in its pivot column and every other row a 0 there, so
-    reducing by the rows in any order gives the same result.  This is the one
-    field elimination: the search adds the candidate values to test span
+    rows maps each pivot column c to a row that is 0 in every other pivot
+    column, so reducing by the rows in any order gives the same result.
+    Each row is a nonzero multiple of its reduced-echelon row r (the one with
+    r[c] = 1), so r[k] = row[k] / row[c] in the field.  The multiple is fixed:
+      - GF(p): row = r itself, entries in range(p);
+      - QQ: row is the unique primitive integer multiple of r with
+        row[c] > 0.  add() clears the input's denominators, which leaves its
+        QQ-span alone, and eliminates without fractions (Bareiss, Math.
+        Comp. 1968): v = row[c]*v - v[c]*row, then divide by the gcd.
+    Both fields share the elimination loop and differ only in how
+    _eliminate and _normalise keep a row canonical.  This is the one field
+    elimination: the search adds the candidate values to test span
     membership, and the span solve adds the rows of [G^T | target].
     """
 
@@ -245,27 +261,54 @@ class FieldEchelon:
             raise ValueError(f"{field} is not a field")
         self.dim = dim
         self.field = field
-        self.rows: dict[int, list] = {}  # pivot column -> row
+        self._p = field.modulus if isinstance(field, ModularRing) else 0  # 0: QQ
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec; returns True when it already belonged to the span."""
-        f = self.field
-        v = list(vec)
-        for c, row in self.rows.items():
-            if not f.is_zero(v[c]):
-                factor = v[c]
-                v = [f.sub(a, f.mul(factor, b)) for a, b in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        if len(vec) != self.dim:
+            raise ValueError("dimension mismatch")
+        p = self._p
+        if p:
+            v = [x % p for x in vec]
+        else:
+            d = lcm(*(x.denominator for x in vec))
+            v = [x.numerator * (d // x.denominator) for x in vec]
+        rows = self.rows
+        for c, row in rows.items():
+            if v[c]:
+                v = self._eliminate(v, row, c)
+        lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             return True
-        inv = f.div(f.one(), v[lead])
-        v = [f.mul(inv, x) for x in v]
-        for c, other in self.rows.items():
-            if not f.is_zero(other[lead]):
-                factor = other[lead]
-                self.rows[c] = [f.sub(a, f.mul(factor, b)) for a, b in zip(other, v)]
-        self.rows[lead] = v
+        v = self._normalise(v, lead)
+        for c, other in rows.items():
+            if other[lead]:
+                rows[c] = self._eliminate(other, v, lead)
+        rows[lead] = v
         return False
+
+    def _eliminate(self, v: list[int], row: list[int], c: int) -> list[int]:
+        """row[c]*v - v[c]*row, which is 0 in column c, made mod p or primitive.
+
+        row[c] > 0, so the sign of every other pivot of v is kept.
+        """
+        s, f = row[c], v[c]
+        w = [s * a - f * b for a, b in zip(v, row)]
+        p = self._p
+        if p:
+            return [x % p for x in w]
+        g = gcd(*w)
+        return [x // g for x in w] if g > 1 else w
+
+    def _normalise(self, v: list[int], lead: int) -> list[int]:
+        """The stored multiple of v, whose first nonzero entry is v[lead]."""
+        p = self._p
+        if p:
+            inv = modinv(v[lead], p)
+            return [x * inv % p for x in v]
+        g = gcd(*v) if v[lead] > 0 else -gcd(*v)
+        return [x // g for x in v] if g != 1 else v
 
     @property
     def rank(self) -> int:

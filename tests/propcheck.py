@@ -17,7 +17,7 @@ from trdeg.dependence import (
     search_submonic_relation,
 )
 from trdeg.groebner import buchberger, normal_form
-from trdeg.linalg import det, hnf
+from trdeg.linalg import FieldEchelon, det, hnf, solve_in_span
 from trdeg.monomials import ONE, Monomial
 from trdeg.orderings import (
     GrevLex,
@@ -29,7 +29,7 @@ from trdeg.orderings import (
     is_weight_graded,
 )
 from trdeg.polynomials import Polynomial, leading_term
-from trdeg.rings import GF, QQ, ZZ, Zmod
+from trdeg.rings import GF, QQ, ZZ, Ring, Zmod
 
 
 def random_monomial(rng: random.Random, nvars: int, maxdeg: int) -> Monomial:
@@ -143,6 +143,108 @@ def check_hnf_postconditions(rng: random.Random, count: int) -> int:
             ]
             assert recomputed == h[i], "U*A == H"
         assert _is_hermite(h)
+    return count
+
+
+class ReferenceFieldEchelon:
+    """Incremental reduced row echelon form by Gauss-Jordan through the ring.
+
+    The reference for trdeg.linalg.FieldEchelon: every row is stored with a 1
+    in its pivot column and a 0 in every other pivot column, and every step
+    is a Ring.sub/Ring.mul on field elements (Fractions over QQ).
+    """
+
+    def __init__(self, field: Ring):
+        self.field = field
+        self.rows: dict[int, list] = {}  # pivot column -> row
+
+    def add(self, vec) -> bool:
+        f = self.field
+        v = list(vec)
+        for c, row in self.rows.items():
+            if not f.is_zero(v[c]):
+                factor = v[c]
+                v = [f.sub(a, f.mul(factor, b)) for a, b in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        if lead is None:
+            return True
+        inv = f.div(f.one(), v[lead])
+        v = [f.mul(inv, x) for x in v]
+        for c, other in self.rows.items():
+            if not f.is_zero(other[lead]):
+                factor = other[lead]
+                self.rows[c] = [f.sub(a, f.mul(factor, b)) for a, b in zip(other, v)]
+        self.rows[lead] = v
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def reference_solve_field(target: list, gens: list[list], field: Ring):
+    """solve_in_span over a field, on the reduced echelon form of [G^T | target]."""
+    k = len(gens)
+    echelon = ReferenceFieldEchelon(field)
+    for i, t in enumerate(target):
+        echelon.add([g[i] for g in gens] + [t])
+    if k in echelon.rows:
+        return None
+    coeffs = [field.zero()] * k
+    for j, row in echelon.rows.items():
+        coeffs[j] = row[k]
+    return coeffs
+
+
+def check_field_echelon_reference(rng: random.Random, count: int) -> int:
+    """FieldEchelon agrees with ReferenceFieldEchelon on random add sequences.
+
+    Fields QQ (denominators 1-6), GF(2), GF(7) and GF(101); dims 1-6; the
+    inputs mix random, zero and repeated vectors with combinations of earlier
+    ones.  After every add: the same member flag, rank and reduced rows
+    (FieldEchelon keeps a multiple, row / row[pivot]), and solve_in_span over
+    the field answers like the reference solve on the vectors so far.
+    """
+    fields = [QQ, GF(2), GF(7), GF(101)]
+    for _ in range(count):
+        field = rng.choice(fields)
+        dim = rng.randint(1, 6)
+
+        def scalar():
+            if field is QQ:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            return rng.randrange(field.modulus)
+
+        def combination(vecs):
+            total = [field.zero()] * dim
+            for g in vecs:
+                c = scalar()
+                total = [field.add(t, field.mul(c, x)) for t, x in zip(total, g)]
+            return total
+
+        echelon, reference = FieldEchelon(dim, field), ReferenceFieldEchelon(field)
+        seen: list[list] = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.random()
+            if kind < 0.1 or not seen:
+                v = [field.zero()] * dim if kind < 0.05 else [scalar() for _ in range(dim)]
+            elif kind < 0.25:
+                v = list(rng.choice(seen))
+            elif kind < 0.5:
+                v = combination(rng.sample(seen, rng.randint(1, len(seen))))
+            else:
+                v = [scalar() for _ in range(dim)]
+            assert echelon.add(v) == reference.add(v), "member flag"
+            assert echelon.rank == reference.rank, "rank"
+            seen.append(v)
+            reduced = {
+                c: [field.div(x, row[c]) for x in row] for c, row in echelon.rows.items()
+            }
+            assert reduced == reference.rows, "reduced rows"
+            target = combination(seen) if rng.random() < 0.5 else [scalar() for _ in range(dim)]
+            assert solve_in_span(target, seen, field) == reference_solve_field(
+                target, seen, field
+            ), "solve_in_span"
     return count
 
 

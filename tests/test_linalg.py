@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from propcheck import check_hnf_postconditions
+from propcheck import check_field_echelon_reference, check_hnf_postconditions
 from trdeg.linalg import FieldEchelon, IntLattice, det, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
 
@@ -245,6 +245,34 @@ class TestIncremental:
     def test_field_echelon_rejects_nonfield(self):
         with pytest.raises(ValueError):
             FieldEchelon(2, ModularRing(6))
+
+    @pytest.mark.parametrize(
+        "ring", [ZZ, ModularRing(6), QQ, PrimeField(7)], ids=["ZZ", "Z/6", "QQ", "GF(7)"]
+    )
+    def test_add_rejects_wrong_length(self, ring):
+        # zip would truncate a short vector: [1] would be taken for a member
+        # of the span of [1, 0], and a first short add would break later ones.
+        span = span_structure(ring, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            span.add([1])
+        assert span.add([1, 0]) is False
+        for wrong in ([1], [1, 0, 0], []):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                span.add(wrong)
+        assert span.add([0, 1]) is False
+        assert span.add([1, 1]) is True
+
+    def test_field_echelon_matches_reference(self):
+        assert check_field_echelon_reference(random.Random(71), 400) == 400
+
+    def test_field_echelon_rows_are_primitive_over_qq(self):
+        # Reduced rows [1, 0, -5/3] and [0, 1, 5/2], kept as primitive integer
+        # multiples with positive pivots.
+        ech = FieldEchelon(3, QQ)
+        ech.add([Fraction(-1, 2), Fraction(-1, 3), Fraction(0)])
+        assert ech.rows == {0: [3, 2, 0]}
+        ech.add([Fraction(0), Fraction(1), Fraction(5, 2)])
+        assert ech.rows == {0: [3, 0, -5], 1: [0, 2, 5]}
 
 
 def hnf_transform_solution(target, gens):

@@ -70,6 +70,9 @@ class TestPinnedComparisons:
         mo = MatrixOrder([[1, 1], [1, 0]])
         assert mo.compare(m((1, 1)), m((2, 1))) == 1
         assert mo.less(m((2, 2)), m((1, 1), (2, 1)))
+        frac = MatrixOrder([[Fraction(1, 2), Fraction(1, 3)], [1, 0]])
+        assert frac.compare(m((1, 1)), m((2, 1))) == 1  # 1/2 > 1/3
+        assert frac.less(m((2, 3)), m((1, 2)))  # 1 = 1, then 0 < 2
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +81,8 @@ class TestPinnedComparisons:
             MatrixOrder([[1, 1]])  # rank 1 < 2 columns
         with pytest.raises(ValueError):
             MatrixOrder([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="linearly independent"):
+            MatrixOrder([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]])  # rank 1
         with pytest.raises(ValueError):
             MatrixOrder([])
 
