@@ -299,7 +299,8 @@ def _search_span(
     if isinstance(algebra, (PolyRing, QuotRing)):
         poly_vals = [values[m] for m in mons]
         basis = _coefficient_basis(poly_vals)
-        vecs = [[v.coeff(b) for b in basis] for v in poly_vals]
+        zero = poly_vals[0].ring.zero()
+        vecs = [[v.terms.get(b, zero) for b in basis] for v in poly_vals]
         dim = len(basis)
     else:
         vecs = [[values[m]] for m in mons]

@@ -16,7 +16,6 @@ and never builds the transform; IntLattice keeps only the form itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -97,30 +96,6 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
             _, i, r, k = op
             u[i] = [a - k * b for a, b in zip(u[i], u[r])]
     return h, u
-
-
-def det(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix, exact over Q."""
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix must be square")
-    a = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / p
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return sign * result
 
 
 def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> Optional[list]:

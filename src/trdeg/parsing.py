@@ -197,7 +197,10 @@ def _from_fraction(ring: Ring, q: Fraction):
     if isinstance(ring, QuotRing):
         return ring.reduce(_from_fraction(ring.poly_ring, q))
     if ring.is_field:
-        return ring.div(ring.from_int(q.numerator), ring.from_int(q.denominator))
+        den = ring.from_int(q.denominator)
+        if ring.is_zero(den):
+            raise TrdegError(f"denominator {q.denominator} is zero in {ring_to_text(ring)}")
+        return ring.div(ring.from_int(q.numerator), den)
     raise TrdegError(f"rational literal {q} needs a field, not {ring_to_text(ring)}")
 
 

@@ -4,11 +4,19 @@ Rings are lightweight descriptor objects operating on raw element values:
 ints for ZZ and the modular rings, Fraction for QQ, Polynomial for
 polynomial and quotient rings.  Element values carry no ring pointer, so
 every operation goes through the ring that owns it.
+
+The protocol: a ring gives from_int, and zero and one follow from it.  add,
+mul and neg are Python's +, * and unary -, and is_zero(a) is ``not a``; a
+ring overrides them only when its values need reducing or are not falsy at
+zero.  Rings are frozen dataclasses, so equality and hashing follow from
+their fields.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .errors import TrdegError
@@ -17,35 +25,41 @@ from .polynomials import Polynomial
 
 
 class Ring:
+    """A commutative ring over raw values: subclasses give from_int.
+
+    Override add, mul and neg only when values need reducing, and is_zero
+    only when a value is not falsy exactly at zero.
+    """
+
     is_field = False
     is_finite = False
 
-    def zero(self):
+    def from_int(self, k: int):
         raise NotImplementedError
+
+    def zero(self):
+        return self.from_int(0)
 
     def one(self):
-        raise NotImplementedError
+        return self.from_int(1)
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return not a
 
     def is_one(self, a) -> bool:
         return a == self.one()
-
-    def from_int(self, k: int):
-        raise NotImplementedError
 
     def div(self, a, b):
         raise TrdegError(f"division is not defined in {self}")
@@ -62,80 +76,35 @@ class Ring:
         return ring_to_text(self)
 
 
+@dataclass(frozen=True, repr=False)
 class IntegerRing(Ring):
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def from_int(self, k: int):
         return k
 
-    def __eq__(self, other):
-        return type(other) is IntegerRing
 
-    def __hash__(self):
-        return hash("ZZ")
-
-
+@dataclass(frozen=True, repr=False)
 class RationalRing(Ring):
     is_field = True
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def from_int(self, k: int):
+        return Fraction(k)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
         return Fraction(a) / b
 
-    def from_int(self, k: int):
-        return Fraction(k)
 
-    def __eq__(self, other):
-        return type(other) is RationalRing
-
-    def __hash__(self):
-        return hash("QQ")
-
-
+@dataclass(frozen=True, repr=False)
 class ModularRing(Ring):
     """Z/n for n >= 2; elements are ints in range(n)."""
 
+    modulus: int
     is_finite = True
 
-    def __init__(self, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.modulus = modulus
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.modulus
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -152,37 +121,34 @@ class ModularRing(Ring):
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.modulus == self.modulus
 
-    def __hash__(self):
-        return hash((type(self).__name__, self.modulus))
-
-
+@dataclass(frozen=True, repr=False)
 class PrimeField(ModularRing):
     """GF(p); the modulus is checked for primality at construction."""
 
     is_field = True
 
-    def __init__(self, p: int):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        super().__init__(p)
+    def __post_init__(self):
+        if not is_probable_prime(self.modulus):
+            raise ValueError(f"{self.modulus} is not prime")
 
     def div(self, a, b):
         return a * modinv(b, self.modulus) % self.modulus
 
 
+@dataclass(frozen=True, repr=False)
 class PolyRing(Ring):
     """base[v1, ..., vk]; elements are Polynomials with coefficients in base."""
 
-    def __init__(self, base: Ring, names: tuple[str, ...]):
-        if not names:
+    base: Ring
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        if not self.names:
             raise ValueError("polynomial ring needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        self.base = base
-        self.names = tuple(names)
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"duplicate variable names in {self.names}")
 
     @property
     def nvars(self) -> int:
@@ -195,24 +161,6 @@ class PolyRing(Ring):
 
     def var_by_name(self, name: str) -> Polynomial:
         return self.var(self.names.index(name) + 1)
-
-    def zero(self):
-        return Polynomial(self.base)
-
-    def one(self):
-        return Polynomial.constant(self.base, self.base.one())
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def from_int(self, k: int):
         return Polynomial.constant(self.base, self.base.from_int(k))
@@ -229,89 +177,50 @@ class PolyRing(Ring):
 
         return poly_to_text(a, self)
 
-    def __eq__(self, other):
-        return (
-            type(other) is PolyRing
-            and other.base == self.base
-            and other.names == self.names
-        )
 
-    def __hash__(self):
-        return hash(("Poly", self.base, self.names))
-
-
+@dataclass(frozen=True, repr=False)
 class QuotRing(Ring):
     """poly_ring / (relations), with poly_ring over a field.
 
     Elements are Polynomials in normal form with respect to a reduced Groebner
     basis of the relation ideal, so value equality is ring equality.  The
     basis is computed on first use under a graded reverse lexicographic
-    ordering with the natural variable priority.
+    ordering with the natural variable priority.  Only products are reduced:
+    normal forms are closed under addition and negation, which introduce no
+    new reducible monomials.
     """
 
-    def __init__(self, poly_ring: PolyRing, relations: tuple[Polynomial, ...]):
-        if not poly_ring.base.is_field:
+    poly_ring: PolyRing
+    relations: tuple[Polynomial, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "relations", tuple(self.relations))
+        if not self.poly_ring.base.is_field:
             raise ValueError("quotient rings are supported over field coefficients only")
-        for g in relations:
-            if not poly_ring.contains_value(g):
+        for g in self.relations:
+            if not self.poly_ring.contains_value(g):
                 raise ValueError("relation outside the polynomial ring")
-        self.poly_ring = poly_ring
-        self.relations = tuple(relations)
-        self._basis = None
 
-    @property
+    @cached_property
     def groebner_basis(self):
-        if self._basis is None:
-            from .groebner import buchberger
-            from .orderings import GrevLex
+        from .groebner import buchberger
+        from .orderings import GrevLex
 
-            self._basis = buchberger(
-                list(self.relations), GrevLex(), self.poly_ring.base
-            )
-        return self._basis
+        return buchberger(list(self.relations), GrevLex(), self.poly_ring.base)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         from .groebner import normal_form
 
         return normal_form(p, self.groebner_basis)
 
-    def zero(self):
-        return self.poly_ring.zero()
-
-    def one(self):
-        return self.reduce(self.poly_ring.one())
-
-    def add(self, a, b):
-        # Normal forms are closed under addition: no new reducible monomials.
-        return a + b
-
     def mul(self, a, b):
         return self.reduce(a * b)
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def from_int(self, k: int):
         return self.reduce(self.poly_ring.from_int(k))
 
-    def div(self, a, b):
-        raise TrdegError("division is not defined in a quotient ring")
-
     def format_elem(self, a) -> str:
         return self.poly_ring.format_elem(a)
-
-    def __eq__(self, other):
-        return (
-            type(other) is QuotRing
-            and other.poly_ring == self.poly_ring
-            and other.relations == self.relations
-        )
-
-    def __hash__(self):
-        return hash(("Quot", self.poly_ring, self.relations))
 
 
 ZZ = IntegerRing()

@@ -17,7 +17,7 @@ from trdeg.dependence import (
     search_submonic_relation,
 )
 from trdeg.groebner import buchberger, normal_form
-from trdeg.linalg import FieldEchelon, det, hnf, solve_in_span
+from trdeg.linalg import FieldEchelon, hnf, solve_in_span
 from trdeg.monomials import ONE, Monomial
 from trdeg.orderings import (
     GrevLex,
@@ -128,6 +128,30 @@ def _is_hermite(h: list[list[int]]) -> bool:
             if not 0 <= h[rr][c] < h[r][c]:
                 return False
     return True
+
+
+def det(matrix: list[list]) -> Fraction:
+    """Determinant of a square matrix, exact over Q: the unimodularity reference."""
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError("matrix must be square")
+    a = [[Fraction(x) for x in row] for row in matrix]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        p = a[col][col]
+        result *= p
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / p
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return sign * result
 
 
 def check_hnf_postconditions(rng: random.Random, count: int) -> int:

@@ -74,6 +74,20 @@ class TestDep:
         assert code == 2
         assert "empty element" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dep", "--coeffs", "GF(7)", "--ring", "GF(7)", "--elems", "1/7"),
+            ("dim", "--ring", "Quot(Poly(GF(5); x); [x - 1/5])"),
+        ],
+        ids=["dep", "dim"],
+    )
+    def test_denominator_zero_mod_p_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: denominator ") and "is zero in GF(" in err
+
 
 class TestCl:
     def test_invalid_membership_witness_exits_2(self, capsys, monkeypatch):
@@ -158,12 +172,18 @@ class TestMember:
 
 class TestVerify:
     def test_roundtrip_via_file(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "dep", "--elems", "12,18", "--order", "lex",
-                           "--maxdeg", "3", "--json")
-        path = tmp_path / "cert.json"
-        path.write_text(out)
-        code, out, _ = run(capsys, "verify", "--cert", str(path))
-        assert code == 0 and out.strip() == "verified"
+        searches = [
+            ("--elems", "12,18", "--order", "lex"),
+            # a field into a quotient over it
+            ("--coeffs", "QQ", "--ring", "Quot(Poly(QQ; x,y); [x*y])", "--elems", "x+1,y"),
+        ]
+        for argv in searches:
+            code, out, _ = run(capsys, "dep", *argv, "--maxdeg", "3", "--json")
+            assert code == 0
+            path = tmp_path / "cert.json"
+            path.write_text(out)
+            code, out, _ = run(capsys, "verify", "--cert", str(path))
+            assert code == 0 and out.strip() == "verified"
 
     def test_tampered_certificate_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "dep", "--elems", "12,18", "--order", "lex",

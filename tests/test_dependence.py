@@ -445,14 +445,25 @@ class TestCertificateSerialization:
         assert data["elements"] == ["12", "18"]
 
     def test_roundtrip_across_configs(self):
-        ring = parse_ring_text("Poly(GF(7); t1,t2)")
-        cfg = AlgebraConfig(ring, ring)
-        t1 = parse_elem("t1", ring)
-        t1t2 = parse_elem("t1*t2", ring)
-        verdict = search_submonic_relation(cfg, (t1, t1t2), Lex(), 1)
-        text = verdict.certificate.to_json()
-        back = SubmonicCertificate.from_json(text)
-        assert back.verified and back.to_json() == text
+        poly = parse_ring_text("Poly(GF(7); t1,t2)")
+        quot = parse_ring_text("Quot(Poly(QQ; x,y); [x*y])")
+        # The second is a field into a quotient over it: the span route with
+        # the QuotRing structure map.  (x + 1)*y = y modulo x*y.
+        cases = [
+            (AlgebraConfig(poly, poly), ("t1", "t1*t2"), Lex(), 1, "x2 - t2*x1"),
+            (AlgebraConfig(QQ, quot), ("x+1", "y"), GrevLex(), 3, "x2 - x1*x2"),
+        ]
+        for cfg, texts, ordering, maxdeg, relation in cases:
+            elems = tuple(parse_elem(t, cfg.algebra) for t in texts)
+            verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
+            cert = verdict.certificate
+            assert cert.verified
+            names = PolyRing(cfg.coeff_ring, ("x1", "x2"))
+            assert cert.poly == parse_elem(relation, names)
+            text = cert.to_json()
+            back = SubmonicCertificate.from_json(text)
+            assert back.verified and back.to_json() == text
+            assert back.config == cfg and back.elements == elems
 
     def test_tampering_each_check(self):
         cert = self.pinned_cert()

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from propcheck import check_field_echelon_reference, check_hnf_postconditions
-from trdeg.linalg import FieldEchelon, IntLattice, det, hnf, solve_in_span, span_structure
+from propcheck import check_field_echelon_reference, check_hnf_postconditions, det
+from trdeg.linalg import FieldEchelon, IntLattice, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
 
 

@@ -11,7 +11,7 @@ from trdeg.intmath import ext_gcd, is_probable_prime, modinv
 from trdeg.monomials import ONE, Monomial, compositions, monomials_up_to_degree
 from trdeg.polynomials import Polynomial, eval_poly, leading_term, trailing_term
 from trdeg.orderings import GrevLex, Lex
-from trdeg.rings import GF, PolyRing, QQ, QuotRing, ZZ, Zmod
+from trdeg.rings import GF, QQ, ZZ, IntegerRing, PolyRing, QuotRing, RationalRing, Zmod
 from trdeg.parsing import parse_elem, parse_ring_text
 
 
@@ -190,6 +190,68 @@ class TestRings:
         assert GF(7) != Zmod(7)  # prime field is a different descriptor
         assert PolyRing(ZZ, ("x",)) == PolyRing(ZZ, ("x",))
         assert PolyRing(ZZ, ("x",)) != PolyRing(ZZ, ("y",))
+        assert ZZ != QQ and ZZ == IntegerRing() and QQ == RationalRing()
+        assert PolyRing(ZZ, ["x"]) == PolyRing(ZZ, ("x",))
+        assert PolyRing(ZZ, ("x",)) != PolyRing(QQ, ("x",))
+        quot_a = parse_ring_text("Quot(Poly(QQ; x,y); [x*y])")
+        quot_b = parse_ring_text("Quot(Poly(QQ; x,y); [y*x])")
+        assert quot_a == quot_b
+        assert quot_a != parse_ring_text("Quot(Poly(QQ; x,y); [x*y - 1])")
+        P = PolyRing(QQ, ("x", "y"))
+        assert QuotRing(P, [P.var(1)]) == QuotRing(P, (P.var(1),))
+        pairs = [
+            (Zmod(6), Zmod(6)), (GF(7), GF(7)), (PolyRing(ZZ, ["x"]), PolyRing(ZZ, ("x",))),
+            (quot_a, quot_b), (ZZ, IntegerRing()), (QQ, RationalRing()),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        # Equal rings are interchangeable as dict keys and polynomial rings.
+        assert {Zmod(6): 1}[Zmod(6)] == 1
+        assert Polynomial.constant(Zmod(6), 1) == Polynomial.constant(Zmod(6), 1)
+
+    RING_SAMPLES = [
+        (ZZ, [0, 1, -1, 7]),
+        (QQ, [Fraction(0), Fraction(1, 2), Fraction(-3)]),
+        (Zmod(6), [0, 1, 2, 3, 5]),
+        (GF(7), [0, 1, 3, 6]),
+        ("Poly(QQ; x,y)", ["0", "1", "x - x", "x*y - 1/2"]),
+        ("Quot(Poly(QQ; x,y); [x*y])", ["0", "1", "x*y", "x + y", "x*y*x - 2"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "ring, samples", RING_SAMPLES, ids=["ZZ", "QQ", "Z/6", "GF(7)", "Poly", "Quot"]
+    )
+    def test_zero_one_and_truthiness(self, ring, samples):
+        if isinstance(ring, str):
+            ring = parse_ring_text(ring)
+            samples = [parse_elem(text, ring) for text in samples]
+        zero, one = ring.zero(), ring.one()
+        assert not zero and one
+        assert ring.is_zero(zero) and not ring.is_zero(one)
+        assert zero == ring.from_int(0) and one == ring.from_int(1)
+        assert ring.is_one(one)
+        for v in samples + [ring.add(s, t) for s in samples for t in samples]:
+            assert ring.is_zero(v) == (v == zero) == (not v)
+            assert ring.is_zero(ring.sub(v, v))
+            assert ring.mul(v, one) == v and ring.add(v, zero) == v
+
+    def test_quotient_basis_computed_once(self, monkeypatch):
+        from trdeg import groebner
+
+        calls = []
+        original = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        Q = parse_ring_text("Quot(Poly(QQ; x,y); [x*y, x^2 - 1])")
+        x = Q.reduce(parse_elem("x", Q.poly_ring))
+        basis = Q.groebner_basis
+        assert Q.mul(x, x) == Q.one()
+        assert Q.groebner_basis is basis
+        assert len(calls) == 1
 
 
 class TestIntMath:
