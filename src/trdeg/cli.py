@@ -108,24 +108,27 @@ def _cmd_dim(args) -> int:
 
 def _cmd_member(args) -> int:
     ring = parse_ring_text(args.ring)
-    if isinstance(ring, QuotRing):
-        ring = ring.poly_ring
-    if not isinstance(ring, PolyRing) or not ring.base.is_field:
+    quotient = isinstance(ring, QuotRing)
+    cover = ring.poly_ring if quotient else ring
+    if not isinstance(cover, PolyRing) or not cover.base.is_field:
         raise TrdegError("membership needs a polynomial ring over a field")
     ordering = ordering_from_text(args.order)
     gens = [parse_elem(t, ring) for t in _split_elems(args.gens)]
+    # In a quotient the relations join the generators; their cofactors are dropped.
+    ideal = gens + list(ring.relations if quotient else ())
     target = parse_elem(args.elem, ring)
-    cof = membership_cofactors(target, gens, ordering, ring.base)
+    cof = membership_cofactors(target, ideal, ordering, cover.base)
     if cof is None:
-        gb = buchberger(gens, ordering, ring.base)
-        print(f"not a member; normal form {poly_to_text(normal_form(target, gb), ring)}")
+        gb = buchberger(ideal, ordering, cover.base)
+        print(f"not a member; normal form {poly_to_text(normal_form(target, gb), cover)}")
         return 1
+    cof = [ring.reduce(c) if quotient else c for c in cof[: len(gens)]]
     if args.json:
-        print(json.dumps({"member": True, "cofactors": [poly_to_text(c, ring) for c in cof]}, indent=2))
+        print(json.dumps({"member": True, "cofactors": [poly_to_text(c, cover) for c in cof]}, indent=2))
     else:
         print("member")
         for g, c in zip(_split_elems(args.gens), cof):
-            print(f"  ({poly_to_text(c, ring)}) * ({g})")
+            print(f"  ({poly_to_text(c, cover)}) * ({g})")
     return 0
 
 

@@ -145,7 +145,7 @@ def cl_check(cert: CLCertificate) -> Optional[str]:
     total = ring.zero()
     for r, g in zip(cert.coeffs, gens):
         total = ring.add(total, ring.mul(r, g))
-    if not ring.is_zero(ring.sub(target, total)):
+    if ring.sub(target, total):
         return "membership identity does not hold for the stated coefficients"
     return None
 
@@ -169,15 +169,9 @@ def cl_to_submonic(cert: CLCertificate) -> SubmonicCertificate:
     n = len(cert.elements)
     trailing = Monomial((i + 1, m) for i, m in enumerate(cert.exponents) if m)
     terms: dict[Monomial, object] = {trailing: ring.one()}
-    for j in range(n):
-        mon = Monomial(
-            [(i + 1, cert.exponents[i]) for i in range(j) if cert.exponents[i]]
-            + [(j + 1, cert.exponents[j] + 1)]
-        )
-        r = cert.coeffs[j]
-        if not ring.is_zero(r):
-            existing = terms.get(mon, ring.zero())
-            terms[mon] = ring.sub(existing, r)
+    for j, r in enumerate(cert.coeffs):
+        exps = cert.exponents[:j] + (cert.exponents[j] + 1,)
+        terms[Monomial((i + 1, e) for i, e in enumerate(exps) if e)] = ring.neg(r)
     out = SubmonicCertificate(
         config=AlgebraConfig(ring, ring),
         elements=cert.elements,

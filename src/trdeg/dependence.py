@@ -99,7 +99,7 @@ class AlgebraConfig:
         if isinstance(a, ModularRing):
             return lambda c: c % a.modulus
         if isinstance(a, PolyRing):
-            return lambda c: Polynomial.constant(a.base, c) if c else a.zero()
+            return lambda c: Polynomial.constant(a.base, c)
         if isinstance(a, QuotRing):
             return lambda c: a.reduce(Polynomial.constant(a.poly_ring.base, c))
         raise UnsupportedConfigError(f"no structure map into {ring_to_text(a)}")
@@ -160,11 +160,11 @@ class SubmonicCertificate:
         config = AlgebraConfig(coeff_ring, algebra)
         ordering = ordering_from_text(data["ordering"])
         elements = tuple(parse_elem(t, algebra) for t in data["elements"])
-        terms = []
+        # A monomial listed twice counts with the sum of its coefficients.
+        poly = Polynomial(coeff_ring)
         for coeff_text, pairs in data["poly"]:
             mon = Monomial((int(i), int(e)) for i, e in pairs)
-            terms.append((mon, parse_elem(coeff_text, coeff_ring)))
-        poly = Polynomial(coeff_ring, terms)
+            poly = poly + Polynomial(coeff_ring, {mon: parse_elem(coeff_text, coeff_ring)})
         trailing = Monomial((int(i), int(e)) for i, e in data["trailing"])
         cert = cls(
             config=config,
@@ -205,7 +205,7 @@ DependenceVerdict = Union[Dependent, NoRelationUpTo]
 def check_certificate(cert: SubmonicCertificate) -> Optional[str]:
     """None when the certificate is valid, else a human-readable reason."""
     f = cert.poly
-    if f.is_zero():
+    if not f:
         return "polynomial is zero"
     n = len(cert.elements)
     if f.max_var_index() > n:
@@ -221,7 +221,7 @@ def check_certificate(cert: SubmonicCertificate) -> Optional[str]:
     if not cert.config.coeff_ring.is_one(c):
         return "trailing coefficient is not 1"
     value = cert.evaluate()
-    if not cert.config.algebra.is_zero(value):
+    if value:
         return "relation does not evaluate to zero"
     return None
 
@@ -337,10 +337,7 @@ def _search_span(
     if coeffs is None:
         raise InternalInconsistencyError("incremental membership disagreed with the span solver")
     r = config.coeff_ring
-    terms = {mons[hit]: r.one()}
-    for s, c in zip(above, coeffs):
-        if c:
-            terms[s] = r.neg(c)
+    terms = {mons[hit]: r.one()} | {s: r.neg(c) for s, c in zip(above, coeffs)}
     return _package(config, elems, ordering, maxdeg, Polynomial(r, terms), mons[hit])
 
 
@@ -357,10 +354,7 @@ def _search_ideal(
         cof = ideal_cofactors(values[t], [values[s] for s in mons[i + 1 :]], algebra)
         if cof is None:
             continue
-        terms = {t: algebra.one()}
-        for s, c in zip(mons[i + 1 :], cof):
-            if not algebra.is_zero(c):
-                terms[s] = algebra.neg(c)
+        terms = {t: algebra.one()} | {s: algebra.neg(c) for s, c in zip(mons[i + 1 :], cof)}
         return _package(config, elems, ordering, maxdeg, Polynomial(algebra, terms), t)
     return NoRelationUpTo(maxdeg)
 
@@ -417,12 +411,9 @@ def pid_pair_certificate(a: int, b: int) -> SubmonicCertificate:
         n += 1
     terms = {
         Monomial.var(2, n) if n else Monomial(): 1,
+        Monomial.var(1): -c,
+        Monomial.var(2, n + 1): -d,
     }
-    if c:
-        terms[Monomial.var(1)] = terms.get(Monomial.var(1), 0) - c
-    if d:
-        mon = Monomial.var(2, n + 1)
-        terms[mon] = terms.get(mon, 0) - d
     cert = SubmonicCertificate(
         config=AlgebraConfig(ZZ, ZZ),
         elements=(a, b),

@@ -52,7 +52,7 @@ class GroebnerBasis:
 def _rep_minus(rep, quots, reps) -> list[Polynomial]:
     """rep - sum(quots_i * reps_i), row by row."""
     for q, other in zip(quots, reps):
-        if not q.is_zero():
+        if q:
             rep = [a - q * b for a, b in zip(rep, other)]
     return rep
 
@@ -71,7 +71,7 @@ def _divide(
     remainder: dict[Monomial, object] = {}
     quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
     work = p
-    while not work.is_zero():
+    while work:
         lm, lc = leading_term(work, ordering)
         for i, glm in enumerate(leads):
             if glm.divides(lm):
@@ -126,7 +126,7 @@ def buchberger(
         leads.append(lm)
 
     for k, g in enumerate(gens):
-        if not g.is_zero():
+        if g:
             unit = [Polynomial(field) for _ in gens]
             unit[k] = Polynomial.constant(field, one)
             append(g, unit)
@@ -151,7 +151,7 @@ def buchberger(
         mon_j = best_lcm.div(lm_j)
         s = basis[i].mul_term(mon_i, one) - basis[j].mul_term(mon_j, one)
         r, quots = _divide(s, basis, leads, ordering, field)
-        if r.is_zero():
+        if not r:
             continue
         rep = None
         if track:
@@ -197,7 +197,7 @@ def _reduce_basis(
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:
-    return normal_form(f, buchberger(gens, ordering, field)).is_zero()
+    return not normal_form(f, buchberger(gens, ordering, field))
 
 
 def membership_cofactors(
@@ -210,11 +210,11 @@ def membership_cofactors(
     gens = list(gens)
     gb = buchberger(gens, ordering, field, track=True)
     r, quots = normal_form_with_quotients(f, gb)
-    if not r.is_zero():
+    if r:
         return None
     cof = [Polynomial(field) for _ in gens]
     for q, rep in zip(quots, gb.reps):
-        if not q.is_zero():
+        if q:
             cof = [a + q * b for a, b in zip(cof, rep)]
     total = Polynomial(field)
     for c, g in zip(cof, gens):

@@ -150,12 +150,12 @@ def sample_element(rng: random.Random, ambient: Ring, degree_bound: int, coeff_b
         mons = monomials_up_to_degree(ambient.nvars, degree_bound)
         while True:
             coeffs = [_sample_scalar(rng, ambient.base, coeff_bound) for _ in mons]
-            p = Polynomial(ambient.base, zip(mons, coeffs))
-            if not p.is_zero():
+            p = Polynomial(ambient.base, dict(zip(mons, coeffs)))
+            if p:
                 return p
     while True:
         a = _sample_scalar(rng, ambient, coeff_bound)
-        if not ambient.is_zero(a):
+        if a:
             return a
 
 

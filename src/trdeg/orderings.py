@@ -222,7 +222,7 @@ class MatrixOrder(MonomialOrdering):
 
 def is_submonic(f: Polynomial, ordering: MonomialOrdering) -> bool:
     """True when f is nonzero and its ordering-least monomial has coefficient 1."""
-    if f.is_zero():
+    if not f:
         return False
     _, c = trailing_term(f, ordering)
     return f.ring.is_one(c)

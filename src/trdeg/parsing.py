@@ -7,10 +7,10 @@ Polynomial grammar (explicit '*', no implicit products):
     factor := atom ['^' UINT]
     atom   := UINT | UINT '/' UINT | NAME | '(' expr ')'
 
-Rational literals are accepted only when the innermost scalar ring is a
-field.  Expressions are evaluated directly in the target ring, so any
-parseable text denotes a ring element and printing followed by parsing is
-the identity on elements.
+A rational literal p/q needs the innermost scalar ring to be a field unless
+q divides p ("4/2" is 2 over ZZ).  Expressions are evaluated directly in the
+target ring, so any parseable text denotes a ring element and printing
+followed by parsing is the identity on elements.
 
 Ring descriptors:
 
@@ -198,7 +198,7 @@ def _from_fraction(ring: Ring, q: Fraction):
         return ring.reduce(_from_fraction(ring.poly_ring, q))
     if ring.is_field:
         den = ring.from_int(q.denominator)
-        if ring.is_zero(den):
+        if not den:
             raise TrdegError(f"denominator {q.denominator} is zero in {ring_to_text(ring)}")
         return ring.div(ring.from_int(q.numerator), den)
     raise TrdegError(f"rational literal {q} needs a field, not {ring_to_text(ring)}")
@@ -276,7 +276,7 @@ def _monomial_text(m: Monomial, names: tuple[str, ...]) -> str:
 
 def poly_to_text(p: Polynomial, ring: PolyRing) -> str:
     """Canonical text: terms descending under natural-priority grevlex."""
-    if p.is_zero():
+    if not p:
         return "0"
     monomials = sorted(p.terms, key=_PRINT_ORDER.key, reverse=True)
     pieces = []

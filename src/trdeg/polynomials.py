@@ -1,34 +1,26 @@
 """Sparse multivariate polynomials over an arbitrary coefficient ring.
 
 A Polynomial carries the ring its coefficients live in and a dict mapping
-Monomial to a nonzero coefficient.  All arithmetic goes through the ring
-object, so coefficients may themselves be polynomials (nested rings) or
-residue classes; nothing here assumes ints.
+Monomial to a nonzero coefficient.  One rule keeps it so: a ring value is
+zero exactly when it is falsy, and Polynomial(ring, terms) takes a dict from
+Monomial to coefficient and keeps exactly the truthy coefficients; a
+Polynomial is itself falsy exactly when it is zero.  All arithmetic goes
+through the ring object, so coefficients may themselves be polynomials
+(nested rings) or residue classes; nothing here assumes ints.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
-
 from .monomials import ONE, Monomial
-
-TermSource = Union[Mapping[Monomial, object], Iterable[tuple[Monomial, object]]]
 
 
 class Polynomial:
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms: TermSource = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, object] = {}
-        for mon, coeff in items:
-            if mon in acc:
-                coeff = ring.add(acc[mon], coeff)
-            acc[mon] = coeff
+    def __init__(self, ring, terms: dict[Monomial, object] = {}):
+        # terms is only read, so the shared empty default is safe.
         self.ring = ring
-        self.terms: dict[Monomial, object] = {
-            m: c for m, c in acc.items() if not ring.is_zero(c)
-        }
+        self.terms: dict[Monomial, object] = {m: c for m, c in terms.items() if c}
 
     @classmethod
     def constant(cls, ring, value) -> "Polynomial":
@@ -37,9 +29,6 @@ class Polynomial:
     @classmethod
     def variable(cls, ring, index: int, exp: int = 1) -> "Polynomial":
         return cls(ring, {Monomial.var(index, exp): ring.one()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -66,7 +55,11 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.ring, list(self.terms.items()) + list(other.terms.items()))
+        add = self.ring.add
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = add(terms[m], c) if m in terms else c
+        return Polynomial(self.ring, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -115,7 +108,7 @@ class Polynomial:
 
 def leading_term(f: Polynomial, ordering) -> tuple[Monomial, object]:
     """(monomial, coefficient) of the ordering-greatest monomial of f != 0."""
-    if f.is_zero():
+    if not f:
         raise ValueError("zero polynomial has no leading term")
     best = max(f.terms, key=ordering.key)
     return best, f.terms[best]
@@ -123,7 +116,7 @@ def leading_term(f: Polynomial, ordering) -> tuple[Monomial, object]:
 
 def trailing_term(f: Polynomial, ordering) -> tuple[Monomial, object]:
     """(monomial, coefficient) of the ordering-least monomial of f != 0."""
-    if f.is_zero():
+    if not f:
         raise ValueError("zero polynomial has no trailing term")
     best = min(f.terms, key=ordering.key)
     return best, f.terms[best]

@@ -6,10 +6,11 @@ polynomial and quotient rings.  Element values carry no ring pointer, so
 every operation goes through the ring that owns it.
 
 The protocol: a ring gives from_int, and zero and one follow from it.  add,
-mul and neg are Python's +, * and unary -, and is_zero(a) is ``not a``; a
-ring overrides them only when its values need reducing or are not falsy at
-zero.  Rings are frozen dataclasses, so equality and hashing follow from
-their fields.
+mul and neg are Python's +, * and unary -; a ring overrides them only when
+its values need reducing.  A value is zero exactly when it is falsy, as
+ints, Fractions and Polynomials are, so there is no separate zero test.
+Rings are frozen dataclasses, so equality and hashing follow from their
+fields.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .polynomials import Polynomial
 class Ring:
     """A commutative ring over raw values: subclasses give from_int.
 
-    Override add, mul and neg only when values need reducing, and is_zero
-    only when a value is not falsy exactly at zero.
+    Override add, mul and neg only when values need reducing.  A value is
+    zero exactly when it is falsy.
     """
 
     is_field = False
@@ -54,9 +55,6 @@ class Ring:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def is_one(self, a) -> bool:
         return a == self.one()

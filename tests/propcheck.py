@@ -7,6 +7,7 @@ are reproducible, asserts internally, and returns the number of checks made.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from trdeg.dependence import (
     search_submonic_relation,
 )
 from trdeg.groebner import buchberger, normal_form
+from trdeg.harness import sample_element
 from trdeg.linalg import FieldEchelon, hnf, solve_in_span
 from trdeg.monomials import ONE, Monomial
 from trdeg.orderings import (
@@ -28,8 +30,9 @@ from trdeg.orderings import (
     WeightedLex,
     is_weight_graded,
 )
+from trdeg.parsing import parse_ring_text
 from trdeg.polynomials import Polynomial, leading_term
-from trdeg.rings import GF, QQ, ZZ, Ring, Zmod
+from trdeg.rings import GF, QQ, ZZ, ModularRing, PolyRing, QuotRing, Ring, Zmod
 
 
 def random_monomial(rng: random.Random, nvars: int, maxdeg: int) -> Monomial:
@@ -186,16 +189,16 @@ class ReferenceFieldEchelon:
         f = self.field
         v = list(vec)
         for c, row in self.rows.items():
-            if not f.is_zero(v[c]):
+            if v[c]:
                 factor = v[c]
                 v = [f.sub(a, f.mul(factor, b)) for a, b in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             return True
         inv = f.div(f.one(), v[lead])
         v = [f.mul(inv, x) for x in v]
         for c, other in self.rows.items():
-            if not f.is_zero(other[lead]):
+            if other[lead]:
                 factor = other[lead]
                 self.rows[c] = [f.sub(a, f.mul(factor, b)) for a, b in zip(other, v)]
         self.rows[lead] = v
@@ -295,7 +298,7 @@ def check_spoly_reduction(rng: random.Random, count: int) -> int:
         ]
         gb = buchberger(gens, ordering, field)
         for g in gens:
-            assert normal_form(g, gb).is_zero()
+            assert not normal_form(g, gb)
         polys = gb.polys
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
@@ -305,7 +308,7 @@ def check_spoly_reduction(rng: random.Random, count: int) -> int:
                 s = polys[i].mul_term(
                     lcm.div(lm_i), field.div(field.one(), lc_i)
                 ) - polys[j].mul_term(lcm.div(lm_j), field.div(field.one(), lc_j))
-                assert normal_form(s, gb).is_zero(), "S-polynomial must reduce to 0"
+                assert not normal_form(s, gb), "S-polynomial must reduce to 0"
     return count
 
 
@@ -341,5 +344,104 @@ def check_certificate_roundtrip(rng: random.Random, count: int) -> int:
         back = SubmonicCertificate.from_json(text)
         assert back.verified, "round-tripped certificate must re-verify"
         assert back.to_json() == text, "serialization must be bit-exact"
+        done += 1
+    return done
+
+
+def plain_eval(cert: SubmonicCertificate) -> dict:
+    """The value of cert.poly at cert.elements, computed without trdeg arithmetic.
+
+    No Polynomial or Ring operation runs: coefficients and elements are read
+    from their term dicts into dicts keyed by exponent tuples, and the sums
+    and products are Python int and Fraction arithmetic, reduced mod n over
+    Z/n and GF(p), and with every term divisible by a relation dropped over a
+    quotient by monomials.  Returns the nonzero terms, so {} means the
+    relation holds.
+    """
+    algebra = cert.config.algebra
+    cover = algebra.poly_ring if isinstance(algebra, QuotRing) else algebra
+    nvars = cover.nvars if isinstance(cover, PolyRing) else 0
+    scalars = cover.base if nvars else cover
+    modulus = scalars.modulus if isinstance(scalars, ModularRing) else None
+    walls = []
+    if isinstance(algebra, QuotRing):
+        for rel in algebra.relations:
+            (mon,) = rel.terms  # a monomial relation
+            walls.append(exponent_tuple(mon, nvars))
+
+    def clean(value: dict) -> dict:
+        out = {}
+        for key, c in value.items():
+            if modulus is not None:
+                c %= modulus
+            if c and not any(all(a >= b for a, b in zip(key, w)) for w in walls):
+                out[key] = c
+        return out
+
+    def plain(value) -> dict:
+        if not isinstance(value, Polynomial):
+            return clean({(0,) * nvars: value})
+        return clean({exponent_tuple(m, nvars): c for m, c in value.terms.items()})
+
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                out[key] = out.get(key, 0) + ca * cb
+        return clean(out)
+
+    elements = [plain(v) for v in cert.elements]
+    total: dict = {}
+    for mon, coeff in cert.poly.terms.items():
+        term = plain(coeff)
+        for index, exp in mon.exps:
+            for _ in range(exp):
+                term = mul(term, elements[index - 1])
+        for key, c in term.items():
+            total[key] = total.get(key, 0) + c
+    return clean(total)
+
+
+def exponent_tuple(mon: Monomial, nvars: int) -> tuple:
+    powers = dict(mon.exps)
+    return tuple(powers.get(i, 0) for i in range(1, nvars + 1))
+
+
+def check_plain_eval(rng: random.Random, count: int) -> int:
+    """Searched certificates evaluate to zero under plain_eval, and to a
+    nonzero value once their constant coefficient is raised by one (the
+    constant monomial is 1 at any elements, so the value moves by exactly 1).
+    """
+    quot = parse_ring_text("Quot(Poly(QQ; x,y); [x*y])")
+    cases = [
+        (ZZ, parse_ring_text("Poly(ZZ; x)"), 4),
+        (QQ, parse_ring_text("Poly(QQ; x)"), 4),
+        (GF(7), parse_ring_text("Poly(GF(7); x)"), 4),
+        (Zmod(12), Zmod(12), 6),
+        (ZZ, Zmod(12), 6),
+        (QQ, quot, 3),
+        (quot, quot, 2),
+    ]
+    done = 0
+    while done < count:
+        coeff_ring, algebra, maxdeg = cases[done % len(cases)]
+        if isinstance(algebra, ModularRing):
+            elems = tuple(rng.randrange(12) for _ in range(rng.randint(1, 2)))
+        elif isinstance(algebra, QuotRing):
+            elems = tuple(algebra.reduce(sample_element(rng, algebra.poly_ring, 1, 3)) for _ in "ab")
+        else:
+            elems = tuple(sample_element(rng, algebra, 2, 3) for _ in "ab")
+        config = AlgebraConfig(coeff_ring, algebra)
+        ordering = rng.choice([Lex(), GrevLex()])
+        verdict = search_submonic_relation(config, elems, ordering, maxdeg)
+        if not isinstance(verdict, Dependent):
+            continue
+        cert = verdict.certificate
+        assert plain_eval(cert) == {}, "certificate must evaluate to zero"
+        terms = dict(cert.poly.terms)
+        terms[ONE] = coeff_ring.add(terms.get(ONE, coeff_ring.zero()), coeff_ring.one())
+        changed = dataclasses.replace(cert, poly=Polynomial(coeff_ring, terms))
+        assert plain_eval(changed) != {}, "a changed coefficient must be caught"
         done += 1
     return done

@@ -4,6 +4,7 @@ Each test prints one "criterion N: PASS/FAIL" line on the real terminal.
 Expensive workloads are computed once and shared across criteria.
 """
 
+import hashlib
 import random
 from functools import lru_cache
 from time import perf_counter
@@ -237,6 +238,8 @@ def test_criterion_7_seeded_experiment_reproduces(capsys):
                 assert rec.certificate is not None
                 assert verify_certificate(rec.certificate)
         assert first.canonical_json() == second.canonical_json()
+        digest = hashlib.sha256(first.canonical_json().encode()).hexdigest()
+        assert digest == "e6fb60943e5fc4a3780fea16097a25e87a399ea3a305c644722d8c70abed091c"
         report = first.to_dict(include_timing=False)
         assert report["unresolved_trials"] == first.unresolved_trials
         counts = first.summary

@@ -164,6 +164,19 @@ class TestMember:
         data = json.loads(out)
         assert data["member"] is True and len(data["cofactors"]) == 1
 
+    def test_member_of_quotient(self, capsys):
+        # x^2 = x*(x+y) in QQ[x,y]/(x*y), though not in QQ[x,y].
+        code, out, _ = run(capsys, "member", "--ring", "Quot(Poly(QQ; x,y); [x*y])",
+                           "--gens", "x+y", "--elem", "x^2")
+        assert code == 0
+        assert out.splitlines() == ["member", "  (x) * (x+y)"]
+
+    def test_not_member_of_quotient(self, capsys):
+        code, out, _ = run(capsys, "member", "--ring", "Quot(Poly(QQ; x,y); [x*y])",
+                           "--gens", "x", "--elem", "y")
+        assert code == 1
+        assert out.strip() == "not a member; normal form y"
+
     def test_requires_field_base(self, capsys):
         code, _, err = run(capsys, "member", "--ring", "Poly(ZZ; x)",
                            "--gens", "x", "--elem", "x^2")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from propcheck import check_plain_eval
 from trdeg import dependence
 from trdeg.dependence import (
     AlgebraConfig,
@@ -153,7 +154,7 @@ class TestSearchOtherConfigs:
         verdict = search_submonic_relation(cfg, (t1, t1 + ring.one()), Lex(), 1)
         assert isinstance(verdict, Dependent)
         cert = verdict.certificate
-        assert cert.evaluate().is_zero()
+        assert not cert.evaluate()
         assert verify_certificate(cert)
 
     def test_ideal_route_ordering_changes_the_verdict(self):
@@ -423,6 +424,13 @@ class TestPidPair:
             pid_pair_certificate(5, 0)
 
 
+class TestPlainEvaluation:
+    def test_search_certificates_hold_in_plain_arithmetic(self):
+        # ZZ[x], QQ[x], GF(7)[x], Z/12 and QQ[x,y]/(x*y), re-checked without
+        # Polynomial or Ring arithmetic; each must fail with one coefficient changed.
+        assert check_plain_eval(random.Random(2024), 210) == 210
+
+
 class TestCertificateSerialization:
     def pinned_cert(self):
         verdict = search_submonic_relation(ZZ_CFG, (12, 18), Lex(), 3)
@@ -497,6 +505,10 @@ class TestCertificateSerialization:
         ok = reload()
         assert check_certificate(ok) is None and ok.verified
 
+        # A monomial listed twice counts with the sum of its coefficients.
+        split = reload(poly=[["1", [[2, 2]]], ["-20", [[1, 1]]], ["-7", [[1, 1]]]])
+        assert split.verified and split.poly == cert.poly
+
 
 class TestDependenceMatrix:
     def test_small_integer_pool_all_pairs_dependent(self):
@@ -520,6 +532,16 @@ class TestDependenceMatrix:
     def test_tuple_cap(self):
         with pytest.raises(ResourceCapExceeded):
             dependence_matrix(ZZ_CFG, range(200), 3, Lex(), 2, max_tuples=100)
+
+    def test_monomial_cap_entries(self):
+        report = dependence_matrix(ZZ_CFG, [2, 4, 6], 2, Lex(), 4, cap=5)
+        assert report.counts == {"dependent": 0, "no_relation": 0,
+                                 "resource_exceeded": 3}
+        assert all(e.certificate is None for e in report.entries)
+        data = report.to_dict(ZZ)
+        assert data["counts"] == report.counts
+        assert [e["verdict"] for e in data["entries"]] == ["resource_exceeded"] * 3
+        assert data["independent_candidates"] == []
 
     def test_to_dict_counts(self):
         report = dependence_matrix(ZZ_CFG, [2, 4], 2, Lex(), 4)

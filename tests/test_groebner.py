@@ -72,7 +72,7 @@ class TestBuchberger:
         gens = polys(R2, "t1^2 + t2", "t1*t2 - 3", "t2^3 - t1")
         gb = buchberger(gens, GrevLex(), QQ)
         for g in gens:
-            assert normal_form(g, gb).is_zero()
+            assert not normal_form(g, gb)
 
     def test_spoly_invariants_random(self):
         assert check_spoly_reduction(random.Random(7), 40) == 40
@@ -237,12 +237,13 @@ class TestPinnedOutputs:
 
 
 def random_poly(rng, field, terms):
-    return Polynomial(
-        field,
-        [
-            (random_monomial(rng, 3, 2), field.from_int(rng.randint(-3, 3)))
+    # Built by addition, so a monomial drawn twice gets the sum of its coefficients.
+    return sum(
+        (
+            Polynomial(field, {random_monomial(rng, 3, 2): field.from_int(rng.randint(-3, 3))})
             for _ in range(rng.randint(1, terms))
-        ],
+        ),
+        Polynomial(field),
     )
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import random
 
 import pytest
@@ -62,7 +63,7 @@ class TestSampling:
         rng = random.Random(99)
         for _ in range(100):
             p = sample_element(rng, ambient, 2, 5)
-            assert isinstance(p, Polynomial) and not p.is_zero()
+            assert isinstance(p, Polynomial) and p
             assert p.total_degree() <= 2
             assert all(-5 <= c <= 5 for c in p.terms.values())
 
@@ -155,6 +156,16 @@ class TestRunExperiment:
         for rec in report.records:
             expected = "dependent" if rec.elements[0] in (-1, 1) else "unresolved"
             assert rec.verdict == expected
+
+    def test_monomial_cap_marks_trials(self, monkeypatch):
+        # comb(6 + 3, 3) = 84 candidate monomials exceed a cap of 10.
+        monkeypatch.setenv("TRDEG_MONOMIAL_CAP", "10")
+        report = run_experiment(ExperimentSpec(trials=3))
+        assert report.summary == {"dependent": 0, "unresolved": 0, "resource_exceeded": 3}
+        trials = json.loads(report.canonical_json())["trials"]
+        assert [t["certificate"] for t in trials] == [None] * 3
+        rows = list(csv.reader(io.StringIO(report.to_csv())))
+        assert [row[2:4] for row in rows[1:]] == [["resource_exceeded", ""]] * 3
 
     def test_csv_shape(self):
         report = run_experiment(self.small_spec(trials=6))

@@ -21,7 +21,7 @@ def assert_combination(coeffs, target, gens, ring):
     for c, g in zip(coeffs, gens):
         for i in range(n):
             total[i] = ring.add(total[i], ring.mul(c, g[i]))
-    assert all(ring.is_zero(ring.sub(total[i], target[i])) for i in range(n))
+    assert not any(ring.sub(total[i], target[i]) for i in range(n))
 
 
 class TestHNF:
@@ -297,21 +297,21 @@ def hnf_transform_solution(target, gens):
 def full_gauss_jordan_solution(target, gens, field):
     """Gauss-Jordan on every generator column; non-pivot columns get zero."""
     if not gens:
-        return [] if all(field.is_zero(x) for x in target) else None
+        return [] if not any(target) else None
     dim = len(target)
     aug = [[gens[j][i] for j in range(len(gens))] + [target[i]] for i in range(dim)]
     ncols = len(gens)
     pivots = []
     row = 0
     for col in range(ncols):
-        pivot = next((r for r in range(row, dim) if not field.is_zero(aug[r][col])), None)
+        pivot = next((r for r in range(row, dim) if aug[r][col]), None)
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
         inv = field.div(field.one(), aug[row][col])
         aug[row] = [field.mul(inv, x) for x in aug[row]]
         for r in range(dim):
-            if r != row and not field.is_zero(aug[r][col]):
+            if r != row and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [
                     field.sub(x, field.mul(factor, y)) for x, y in zip(aug[r], aug[row])
@@ -319,7 +319,7 @@ def full_gauss_jordan_solution(target, gens, field):
         pivots.append((row, col))
         row += 1
     for r in range(row, dim):
-        if not field.is_zero(aug[r][ncols]):
+        if aug[r][ncols]:
             return None
     coeffs = [field.zero()] * ncols
     for r, c in pivots:

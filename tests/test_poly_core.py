@@ -71,8 +71,8 @@ class TestPolynomial:
     def test_zero_coefficients_dropped(self):
         p = Polynomial(ZZ, {ONE: 0, Monomial.var(1): 2})
         assert p.terms == {Monomial.var(1): 2}
-        q = Polynomial(ZZ, [(ONE, 3), (ONE, -3)])
-        assert q.is_zero()
+        q = Polynomial(ZZ, {ONE: 3}) + Polynomial(ZZ, {ONE: -3})
+        assert not q and q.terms == {}
 
     def test_arithmetic_matches_hand_expansion(self):
         x = Polynomial.variable(ZZ, 1)
@@ -175,8 +175,8 @@ class TestRings:
         Q = parse_ring_text("Quot(Poly(QQ; x,y); [x*y])")
         x = Q.reduce(parse_elem("x", Q.poly_ring))
         y = Q.reduce(parse_elem("y", Q.poly_ring))
-        assert Q.is_zero(Q.mul(x, y))
-        assert not Q.is_zero(Q.add(x, y))
+        assert not Q.mul(x, y)
+        assert Q.add(x, y)
         assert Q.one() == Q.poly_ring.one()
 
     def test_quot_requires_field_base(self):
@@ -227,12 +227,11 @@ class TestRings:
             samples = [parse_elem(text, ring) for text in samples]
         zero, one = ring.zero(), ring.one()
         assert not zero and one
-        assert ring.is_zero(zero) and not ring.is_zero(one)
         assert zero == ring.from_int(0) and one == ring.from_int(1)
         assert ring.is_one(one)
         for v in samples + [ring.add(s, t) for s in samples for t in samples]:
-            assert ring.is_zero(v) == (v == zero) == (not v)
-            assert ring.is_zero(ring.sub(v, v))
+            assert (not v) == (v == zero)
+            assert not ring.sub(v, v)
             assert ring.mul(v, one) == v and ring.add(v, zero) == v
 
     def test_quotient_basis_computed_once(self, monkeypatch):
