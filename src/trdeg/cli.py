@@ -30,7 +30,7 @@ from .dependence import (
     search_submonic_relation,
 )
 from .errors import TrdegError
-from .groebner import buchberger, membership_cofactors, normal_form
+from .groebner import reduce_with_cofactors
 from .harness import ExperimentSpec, known_dim, run_experiment
 from .monomials import Monomial
 from .orderings import ordering_from_text, separating_weights
@@ -47,8 +47,7 @@ def _split_elems(text: str) -> list[str]:
 
 def _parse_monomial(text: str) -> Monomial:
     """Exponent-vector syntax: "0,2" means x2^2."""
-    vec = [int(p.strip()) for p in text.split(",")]
-    return Monomial((i + 1, e) for i, e in enumerate(vec) if e)
+    return Monomial(enumerate((int(p.strip()) for p in text.split(",")), 1))
 
 
 def _print_submonic(cert: SubmonicCertificate, as_json: bool) -> None:
@@ -117,10 +116,9 @@ def _cmd_member(args) -> int:
     # In a quotient the relations join the generators; their cofactors are dropped.
     ideal = gens + list(ring.relations if quotient else ())
     target = parse_elem(args.elem, ring)
-    cof = membership_cofactors(target, ideal, ordering, cover.base)
+    remainder, cof = reduce_with_cofactors(target, ideal, ordering, cover.base)
     if cof is None:
-        gb = buchberger(ideal, ordering, cover.base)
-        print(f"not a member; normal form {poly_to_text(normal_form(target, gb), cover)}")
+        print(f"not a member; normal form {poly_to_text(remainder, cover)}")
         return 1
     cof = [ring.reduce(c) if quotient else c for c in cof[: len(gens)]]
     if args.json:

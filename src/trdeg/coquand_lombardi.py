@@ -23,7 +23,7 @@ from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import ideal_cofactors
 from .linalg import solve_in_span
-from .monomials import Monomial, compositions
+from .monomials import ONE, Monomial, compositions
 from .orderings import Lex
 from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
 from .polynomials import Polynomial
@@ -166,21 +166,19 @@ def cl_to_submonic(cert: CLCertificate) -> SubmonicCertificate:
     if not cl_verify(cert):
         raise ValueError("certificate does not verify; refusing to convert")
     ring = cert.ring
-    n = len(cert.elements)
-    trailing = Monomial((i + 1, m) for i, m in enumerate(cert.exponents) if m)
-    terms: dict[Monomial, object] = {trailing: ring.one()}
-    for j, r in enumerate(cert.coeffs):
-        exps = cert.exponents[:j] + (cert.exponents[j] + 1,)
-        terms[Monomial((i + 1, e) for i, e in enumerate(exps) if e)] = ring.neg(r)
+    terms: dict[Monomial, object] = {}
+    trailing = ONE  # prod_{i<=j} xi^mi after step j
+    for j, (m, r) in enumerate(zip(cert.exponents, cert.coeffs), 1):
+        trailing = trailing * Monomial.var(j, m)
+        terms[trailing * Monomial.var(j)] = ring.neg(r)
+    terms[trailing] = ring.one()
     out = SubmonicCertificate(
         config=AlgebraConfig(ring, ring),
         elements=cert.elements,
         ordering=Lex(),
         poly=Polynomial(ring, terms),
         trailing=trailing,
-        degree_bound=max(
-            sum(cert.exponents), max(sum(cert.exponents[: j + 1]) + 1 for j in range(n))
-        ),
+        degree_bound=max(m.degree for m in terms),
     )
     return mark_verified(out, "conversion produced an invalid certificate")
 

@@ -239,7 +239,7 @@ def _evaluate_monomials(
         if m.is_one():
             values[m] = algebra.one()
             continue
-        i = m.exps[0][0]
+        i = m.indices()[0]
         values[m] = algebra.mul(values[m.div(Monomial.var(i))], elements[i - 1])
     return values
 
@@ -409,17 +409,14 @@ def pid_pair_certificate(a: int, b: int) -> SubmonicCertificate:
             c, d = k * u, k * v
             break
         n += 1
-    terms = {
-        Monomial.var(2, n) if n else Monomial(): 1,
-        Monomial.var(1): -c,
-        Monomial.var(2, n + 1): -d,
-    }
+    trailing = Monomial.var(2, n)
+    terms = {trailing: 1, Monomial.var(1): -c, Monomial.var(2, n + 1): -d}
     cert = SubmonicCertificate(
         config=AlgebraConfig(ZZ, ZZ),
         elements=(a, b),
         ordering=Lex(),
         poly=Polynomial(ZZ, terms),
-        trailing=Monomial.var(2, n) if n else Monomial(),
+        trailing=trailing,
         degree_bound=n + 1,
     )
     return mark_verified(cert, "pid construction failed")

@@ -203,15 +203,21 @@ def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: Monomi
 def membership_cofactors(
     f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field
 ) -> Optional[list[Polynomial]]:
-    """Cofactors c with f == sum(c_k * gens_k), or None when f is outside.
+    """Cofactors c with f == sum(c_k * gens_k), or None when f is outside."""
+    return reduce_with_cofactors(f, gens, ordering, field)[1]
 
-    The witness identity is re-checked by substitution before returning.
-    """
+
+def reduce_with_cofactors(
+    f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field
+) -> tuple[Polynomial, Optional[list[Polynomial]]]:
+    """(normal form r of f modulo the ideal of gens, cofactors c or None),
+    from one tracked basis.  c comes when r is zero, and the witness identity
+    f == sum(c_k * gens_k) is re-checked by substitution before returning."""
     gens = list(gens)
     gb = buchberger(gens, ordering, field, track=True)
     r, quots = normal_form_with_quotients(f, gb)
     if r:
-        return None
+        return r, None
     cof = [Polynomial(field) for _ in gens]
     for q, rep in zip(quots, gb.reps):
         if q:
@@ -221,7 +227,7 @@ def membership_cofactors(
         total = total + c * g
     if total != f:
         raise InternalInconsistencyError("cofactor identity failed; tracking bug")
-    return cof
+    return r, cof
 
 
 def ideal_cofactors(target: Polynomial, gens: list, ring) -> Optional[list]:

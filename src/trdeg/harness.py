@@ -16,7 +16,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .dependence import (
@@ -135,10 +134,8 @@ class ExperimentSpec:
 
 
 def _sample_scalar(rng: random.Random, base: Ring, bound: int):
-    if isinstance(base, IntegerRing):
+    if isinstance(base, (IntegerRing, RationalRing)):
         return rng.randint(-bound, bound)
-    if isinstance(base, RationalRing):
-        return Fraction(rng.randint(-bound, bound))
     if isinstance(base, ModularRing):
         return rng.randint(-bound, bound) % base.modulus
     raise TrdegError(f"no sampling rule for coefficients in {base!r}")

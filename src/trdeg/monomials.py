@@ -1,84 +1,116 @@
-"""Sparse monomials in variables x1, x2, ... (1-based indices)."""
+"""Monomials in variables x1, x2, ... (1-based indices)."""
 
 from __future__ import annotations
 
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 
 class Monomial:
-    """An exponent vector stored sparsely as sorted (index, exponent) pairs.
+    """An exponent vector stored densely: vector[i - 1] is the exponent of xi.
 
-    Immutable by convention; zero exponents are never stored, so equal
-    monomials compare and hash equal.  The empty monomial is the constant 1.
+    Immutable by convention; trailing zero exponents are never stored, so
+    equal monomials compare and hash equal.  The empty vector is the
+    constant 1.  Monomial(pairs) builds one from (index, exponent) pairs and
+    checks them; products, quotients, lcms and var() skip that check.
     """
 
-    __slots__ = ("exps", "degree")
+    __slots__ = ("vector", "degree")
 
     def __init__(self, exps: Iterable[tuple[int, int]] = ()):
-        acc: dict[int, int] = {}
+        vec: list[int] = []
         for index, exp in exps:
             if index < 1:
                 raise ValueError(f"variable index must be >= 1, got {index}")
             if exp < 0:
                 raise ValueError(f"exponent must be nonnegative, got {exp}")
             if exp:
-                acc[index] = acc.get(index, 0) + exp
-        self.exps: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
-        self.degree: int = sum(e for _, e in self.exps)
+                if index > len(vec):
+                    vec.extend([0] * (index - len(vec)))
+                vec[index - 1] += exp
+        self.vector: tuple[int, ...] = tuple(vec)
+        self.degree: int = sum(vec)
 
     @classmethod
     def var(cls, index: int, exp: int = 1) -> "Monomial":
-        return cls(((index, exp),))
+        if index < 1 or exp < 0:
+            raise ValueError(f"no monomial x{index}^{exp}")
+        return _monomial((0,) * (index - 1) + (exp,) if exp else (), exp)
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero exponents as sorted (index, exponent) pairs."""
+        return tuple((i, e) for i, e in enumerate(self.vector, 1) if e)
 
     def exponent(self, index: int) -> int:
-        for i, e in self.exps:
-            if i == index:
-                return e
-        return 0
+        return self.vector[index - 1] if 0 < index <= len(self.vector) else 0
 
     def is_one(self) -> bool:
-        return not self.exps
+        return not self.vector
 
     def max_index(self) -> int:
         """Largest variable index with a nonzero exponent; 0 for the constant."""
-        return self.exps[-1][0] if self.exps else 0
+        return len(self.vector)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
+        return tuple(i for i, e in enumerate(self.vector, 1) if e)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exps + other.exps)
+        a, b = self.vector, other.vector
+        if len(a) < len(b):
+            a, b = b, a
+        return _monomial(tuple(map(add, a, b)) + a[len(b):], self.degree + other.degree)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(e <= other.exponent(i) for i, e in self.exps)
+        a, b = self.vector, other.vector
+        return len(a) <= len(b) and all(map(le, a, b))
 
     def div(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; requires other.divides(self)."""
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial((i, e - other.exponent(i)) for i, e in self.exps)
+        a, b = self.vector, other.vector
+        return _monomial(_trim(tuple(map(sub, a, b)) + a[len(b):]), self.degree - other.degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        indices = set(self.indices()) | set(other.indices())
-        return Monomial((i, max(self.exponent(i), other.exponent(i))) for i in indices)
+        a, b = self.vector, other.vector
+        if len(a) < len(b):
+            a, b = b, a
+        vec = tuple(map(max, a, b)) + a[len(b):]
+        return _monomial(vec, sum(vec))
 
     def natural_key(self) -> tuple:
-        """Ordering-independent sort key, for deterministic bookkeeping only."""
+        """Ordering-independent sort key, for deterministic bookkeeping only:
+        degree, then the sorted (index, exponent) pairs."""
         return (self.degree, self.exps)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.vector == other.vector
 
     def __hash__(self) -> int:
-        return hash(self.exps)
+        return hash(self.vector)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.exps)
 
     def __repr__(self) -> str:
-        if not self.exps:
+        if not self.vector:
             return "1"
         return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in self.exps)
+
+
+def _monomial(vector: tuple[int, ...], degree: int) -> Monomial:
+    """A Monomial from a vector without trailing zeros and its degree, unchecked."""
+    m = object.__new__(Monomial)
+    m.vector, m.degree = vector, degree
+    return m
+
+
+def _trim(vec: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(vec)
+    while end and not vec[end - 1]:
+        end -= 1
+    return vec[:end]
 
 
 ONE = Monomial()
@@ -94,11 +126,11 @@ def monomials_up_to_degree(nvars: int, maxdeg: int) -> list[Monomial]:
         raise ValueError("need at least one variable")
     if maxdeg < 0:
         raise ValueError("degree bound must be nonnegative")
-    out: list[Monomial] = []
-    for total in range(maxdeg + 1):
-        for vec in compositions(total, nvars):
-            out.append(Monomial((i + 1, e) for i, e in enumerate(vec) if e))
-    return out
+    return [
+        _monomial(_trim(vec), total)
+        for total in range(maxdeg + 1)
+        for vec in compositions(total, nvars)
+    ]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistencyError, ParseError
@@ -75,18 +76,17 @@ class _PriorityOrdering(MonomialOrdering):
     def __init__(self, priority: Sequence[int] = ()):
         self.priority = _check_priority(priority)
 
-    def _exponents(self, m: Monomial) -> list[int]:
+    def _exponents(self, m: Monomial) -> tuple[int, ...]:
         """Exponents of x(p1)..x(pk), then of x(k+1) up to m's last variable.
 
-        The list has length max(k, m.max_index()), so when it runs past the
-        prefix its last entry is nonzero and a shorter list is a lesser one.
+        The tuple has length max(k, m.max_index()), so when it runs past the
+        prefix its last entry is nonzero and a shorter tuple is a lesser one.
         """
+        exps = m.vector
         k = len(self.priority)
-        exps = [0] * max(k, m.max_index())
-        for i, e in m.exps:
-            exps[i - 1] = e
         if k:
-            exps[:k] = [exps[p - 1] for p in self.priority]
+            exps += (0,) * (k - len(exps))
+            exps = tuple([exps[p - 1] for p in self.priority]) + exps[k:]
         return exps
 
     def to_text(self) -> str:
@@ -105,14 +105,14 @@ class Lex(_PriorityOrdering):
     name = "lex"
 
     def key(self, m: Monomial) -> tuple:
-        return tuple(self._exponents(m))
+        return self._exponents(m)
 
 
 class GrLex(_PriorityOrdering):
     name = "grlex"
 
     def key(self, m: Monomial) -> tuple:
-        return (m.degree, tuple(self._exponents(m)))
+        return (m.degree, self._exponents(m))
 
 
 class GrevLex(_PriorityOrdering):
@@ -121,10 +121,10 @@ class GrevLex(_PriorityOrdering):
     def key(self, m: Monomial) -> tuple:
         # Equal degree: the last position where they differ decides, and the
         # monomial with the smaller exponent there is the greater one.  A
-        # longer exponent list has a nonzero entry where the shorter one has
+        # longer exponent tuple has a nonzero entry where the shorter one has
         # none, so it ranks lower.
         exps = self._exponents(m)
-        return (m.degree, len(self.priority) - len(exps), tuple(-e for e in reversed(exps)))
+        return (m.degree, len(self.priority) - len(exps), tuple(map(neg, reversed(exps))))
 
 
 class WeightedLex(MonomialOrdering):

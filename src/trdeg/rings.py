@@ -1,9 +1,10 @@
 """Coefficient rings and algebras.
 
 Rings are lightweight descriptor objects operating on raw element values:
-ints for ZZ and the modular rings, Fraction for QQ, Polynomial for
-polynomial and quotient rings.  Element values carry no ring pointer, so
-every operation goes through the ring that owns it.
+ints for ZZ and the modular rings, for QQ an int when integral and a
+Fraction otherwise, Polynomial for polynomial and quotient rings.  Element
+values carry no ring pointer, so every operation goes through the ring that
+owns it.
 
 The protocol: a ring gives from_int, and zero and one follow from it.  add,
 mul and neg are Python's +, * and unary -; a ring overrides them only when
@@ -80,17 +81,30 @@ class IntegerRing(Ring):
         return k
 
 
+def _rational(q):
+    """The one form of a rational: q's numerator when q is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True, repr=False)
 class RationalRing(Ring):
+    """QQ; a value is an int when integral and a Fraction otherwise."""
+
     is_field = True
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return k
+
+    def add(self, a, b):
+        return _rational(a + b)
+
+    def mul(self, a, b):
+        return _rational(a * b)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return Fraction(a) / b
+        return _rational(Fraction(a) / b)
 
 
 @dataclass(frozen=True, repr=False)

@@ -88,9 +88,9 @@ def integer_pair_workload():
     return perf_counter() - start, rows, cl_outcomes
 
 
-@lru_cache(maxsize=1)
-def experiment_workload():
-    spec = ExperimentSpec(
+def seed42_spec(coeffs):
+    """The criterion-7 experiment: 1000 trials, coeffs into coeffs[x]."""
+    return ExperimentSpec(
         seed=42,
         trials=1000,
         arity=3,
@@ -98,9 +98,14 @@ def experiment_workload():
         coeff_bound=5,
         search_degree_bound=6,
         ordering=GrevLex(),
-        coeff_ring=ZZ,
-        ambient=PolyRing(ZZ, ("x",)),
+        coeff_ring=coeffs,
+        ambient=PolyRing(coeffs, ("x",)),
     )
+
+
+@lru_cache(maxsize=1)
+def experiment_workload():
+    spec = seed42_spec(ZZ)
     start = perf_counter()
     first = run_experiment(spec)
     second = run_experiment(spec)
@@ -248,6 +253,12 @@ def test_criterion_7_seeded_experiment_reproduces(capsys):
         assert elapsed < 600.0, f"double experiment took {elapsed:.1f}s"
 
     announce(capsys, 7, body)
+
+
+def test_seeded_rational_experiment_pinned():
+    report = run_experiment(seed42_spec(QQ))
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == "9452e1ac3e908821519caca57c462e3692d07254507f6149b993f6ffb31de1d3"
 
 
 def test_criterion_8_property_suites(capsys):

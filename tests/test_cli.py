@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trdeg
-from trdeg import cli, coquand_lombardi, dependence
+from trdeg import cli, coquand_lombardi, dependence, groebner
 from trdeg.cli import main
 
 
@@ -170,6 +170,22 @@ class TestMember:
                            "--gens", "x+y", "--elem", "x^2")
         assert code == 0
         assert out.splitlines() == ["member", "  (x) * (x+y)"]
+
+    def test_not_member_builds_one_basis(self, capsys, monkeypatch):
+        calls = []
+        real = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("track", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(cli, "buchberger", counting, raising=False)
+        code, out, _ = run(capsys, "member", "--ring", "Poly(QQ; x,y)",
+                           "--gens", "x^2-y,x*y-1", "--elem", "x+y^2")
+        assert code == 1
+        assert out.strip() == "not a member; normal form 2*x"
+        assert calls == [True]
 
     def test_not_member_of_quotient(self, capsys):
         code, out, _ = run(capsys, "member", "--ring", "Quot(Poly(QQ; x,y); [x*y])",

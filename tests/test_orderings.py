@@ -127,6 +127,16 @@ class TestAxioms:
     def test_univariate_agreement(self):
         assert check_univariate_agreement(random.Random(3), 400) == 400
 
+    def test_keys_pinned(self):
+        # The repr of every key of every monomial of degree <= 4 in 4 variables.
+        mons = monomials_up_to_degree(4, 4)
+        text = "\n".join(
+            f"{o.to_text()} {[o.key(x) for x in mons]!r}"
+            for o in ordering_families(4) + BEYOND_PREFIX
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "cc4859808d75fa6cb93f2513d91509cc942813023d29e9f8e7d4c4213db8bc69"
+
     def test_sort_min_max(self):
         lex = Lex()
         mons = [m((1, 1)), ONE, m((2, 3)), m((1, 1), (2, 1))]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from trdeg.errors import TrdegError
+from trdeg.harness import _sample_scalar
 from trdeg.intmath import ext_gcd, is_probable_prime, modinv
 from trdeg.monomials import ONE, Monomial, compositions, monomials_up_to_degree
 from trdeg.polynomials import Polynomial, eval_poly, leading_term, trailing_term
@@ -46,6 +47,56 @@ class TestMonomial:
         with pytest.raises(ValueError):
             a.div(b)
         assert a.lcm(b) == Monomial([(1, 2), (2, 4), (3, 1)])
+
+    def test_matches_plain_vectors(self):
+        rng = random.Random(17)
+
+        def vector():
+            return tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(0, 5)))
+
+        def pairs(v):
+            return tuple((i + 1, e) for i, e in enumerate(v) if e)
+
+        def monomial(v):
+            return Monomial((i + 1, e) for i, e in enumerate(v))
+
+        for _ in range(1000):
+            u, v = vector(), vector()
+            n = max(len(u), len(v))
+            u, v = u + (0,) * (n - len(u)), v + (0,) * (n - len(v))
+            a, b = monomial(u), monomial(v)
+            assert a.exps == tuple(a) == pairs(u) and a.degree == sum(u)
+            assert a.indices() == tuple(i for i, _ in pairs(u))
+            assert a.max_index() == max(a.indices(), default=0)
+            assert (a == b) == (u == v) and (a == b) <= (hash(a) == hash(b))
+            for got, want in [
+                (a * b, tuple(x + y for x, y in zip(u, v))),
+                (a.lcm(b), tuple(map(max, u, v))),
+            ]:
+                assert got == monomial(want) and hash(got) == hash(monomial(want))
+                assert got.exps == pairs(want) and got.degree == sum(want)
+            divides = all(x <= y for x, y in zip(u, v))
+            assert a.divides(b) == divides
+            if divides:
+                q = tuple(y - x for x, y in zip(u, v))
+                assert b.div(a) == monomial(q) and hash(b.div(a)) == hash(monomial(q))
+                assert b.div(a).exps == pairs(q) and b.div(a).degree == sum(q)
+            else:
+                with pytest.raises(ValueError):
+                    b.div(a)
+        assert Monomial(((1, 2), (3, 0))) == Monomial.var(1, 2)
+        assert hash(Monomial(((1, 2), (3, 0)))) == hash(Monomial.var(1, 2))
+
+    def test_natural_key_is_degree_then_pairs(self):
+        rng = random.Random(19)
+        vectors = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(300)}
+        mons = [Monomial((i + 1, e) for i, e in enumerate(v)) for v in vectors]
+        by_pairs = sorted(
+            vectors, key=lambda v: (sum(v), tuple((i + 1, e) for i, e in enumerate(v) if e))
+        )
+        assert [m.exps for m in sorted(mons, key=Monomial.natural_key)] == [
+            tuple((i + 1, e) for i, e in enumerate(v) if e) for v in by_pairs
+        ]
 
     def test_repr(self):
         assert repr(Monomial([(1, 1), (2, 3)])) == "x1*x2^3"
@@ -160,6 +211,34 @@ class TestRings:
         assert QQ.is_field
         with pytest.raises(ZeroDivisionError):
             QQ.div(Fraction(1), Fraction(0))
+
+    def test_qq_values_are_canonical(self):
+        # An integral rational is an int, never Fraction(k, 1).
+        def canonical(v):
+            return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+        rng = random.Random(23)
+        samples = [QQ.from_int(k) for k in (-2, 0, 1, 3)]
+        samples += [QQ.div(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(20)]
+        samples += [Fraction(1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(-1, 2)]
+        assert all(canonical(v) for v in samples)
+        assert type(QQ.zero()) is int and type(QQ.one()) is int
+        for a in samples:
+            assert canonical(QQ.neg(a))
+            for b in samples:
+                assert canonical(QQ.add(a, b)) and canonical(QQ.sub(a, b))
+                assert canonical(QQ.mul(a, b))
+                if b:
+                    assert canonical(QQ.div(a, b))
+        # Results that cancel to integers.
+        half = Fraction(1, 2)
+        for v in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half),
+                  QQ.mul(Fraction(2, 3), Fraction(3, 2)), QQ.div(half, half), QQ.div(4, 2)):
+            assert type(v) is int
+        assert all(type(_sample_scalar(rng, QQ, 5)) is int for _ in range(50))
+        assert type(parse_elem("4/2", QQ)) is int
+        p = parse_elem("4/2", parse_ring_text("Poly(QQ; x)"))
+        assert p.constant_coeff() == 2 and type(p.constant_coeff()) is int
 
     def test_poly_ring_vars(self):
         P = PolyRing(ZZ, ("x", "y"))
