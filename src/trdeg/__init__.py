@@ -50,7 +50,7 @@ from .orderings import (
     ordering_from_text,
     separating_weights,
 )
-from .parsing import parse_elem, parse_ring_text, poly_to_text, ring_to_text
+from .parsing import parse_elem, parse_ring_text, poly_to_text
 from .polynomials import Polynomial, eval_poly, leading_term, trailing_term
 from .rings import GF, PolyRing, QQ, QuotRing, Ring, ZZ, Zmod
 
@@ -109,7 +109,6 @@ __all__ = [
     "parse_ring_text",
     "pid_pair_certificate",
     "poly_to_text",
-    "ring_to_text",
     "run_experiment",
     "search_submonic_relation",
     "separating_weights",

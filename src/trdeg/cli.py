@@ -34,7 +34,7 @@ from .groebner import reduce_with_cofactors
 from .harness import ExperimentSpec, known_dim, run_experiment
 from .monomials import Monomial
 from .orderings import ordering_from_text, separating_weights
-from .parsing import parse_elem, parse_ring_text, poly_to_text
+from .parsing import parse_elem, parse_ring_text
 from .rings import PolyRing, QuotRing
 
 
@@ -56,7 +56,7 @@ def _print_submonic(cert: SubmonicCertificate, as_json: bool) -> None:
         return
     r = cert.config.coeff_ring
     names = tuple(f"x{i + 1}" for i in range(len(cert.elements)))
-    shown = poly_to_text(cert.poly, PolyRing(r, names))
+    shown = PolyRing(r, names).format_elem(cert.poly)
     print(f"dependent: f = {shown}")
     print(f"trailing monomial: {cert.trailing!r} under {cert.ordering.to_text()}")
     print(f"degree bound: {cert.degree_bound}")
@@ -107,26 +107,24 @@ def _cmd_dim(args) -> int:
 
 def _cmd_member(args) -> int:
     ring = parse_ring_text(args.ring)
-    quotient = isinstance(ring, QuotRing)
-    cover = ring.poly_ring if quotient else ring
-    if not isinstance(cover, PolyRing) or not cover.base.is_field:
+    if not isinstance(ring, (PolyRing, QuotRing)) or not ring.poly_ring.base.is_field:
         raise TrdegError("membership needs a polynomial ring over a field")
     ordering = ordering_from_text(args.order)
     gens = [parse_elem(t, ring) for t in _split_elems(args.gens)]
     # In a quotient the relations join the generators; their cofactors are dropped.
-    ideal = gens + list(ring.relations if quotient else ())
+    ideal = gens + list(ring.relations)
     target = parse_elem(args.elem, ring)
-    remainder, cof = reduce_with_cofactors(target, ideal, ordering, cover.base)
+    remainder, cof = reduce_with_cofactors(target, ideal, ordering, ring.poly_ring.base)
     if cof is None:
-        print(f"not a member; normal form {poly_to_text(remainder, cover)}")
+        print(f"not a member; normal form {ring.format_elem(remainder)}")
         return 1
-    cof = [ring.reduce(c) if quotient else c for c in cof[: len(gens)]]
+    shown = [ring.format_elem(ring.reduce(c)) for c in cof[: len(gens)]]
     if args.json:
-        print(json.dumps({"member": True, "cofactors": [poly_to_text(c, cover) for c in cof]}, indent=2))
+        print(json.dumps({"member": True, "cofactors": shown}, indent=2))
     else:
         print("member")
-        for g, c in zip(_split_elems(args.gens), cof):
-            print(f"  ({poly_to_text(c, cover)}) * ({g})")
+        for g, c in zip(_split_elems(args.gens), shown):
+            print(f"  ({c}) * ({g})")
     return 0
 
 

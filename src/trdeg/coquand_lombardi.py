@@ -25,7 +25,7 @@ from .groebner import ideal_cofactors
 from .linalg import solve_in_span
 from .monomials import ONE, Monomial, compositions
 from .orderings import Lex
-from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
+from .parsing import parse_elem, parse_ring_text
 from .polynomials import Polynomial
 from .rings import QuotRing, Ring
 
@@ -39,10 +39,10 @@ class CLCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "ring": ring_to_text(self.ring),
-            "elements": [elem_to_text(a, self.ring) for a in self.elements],
+            "ring": str(self.ring),
+            "elements": [self.ring.format_elem(a) for a in self.elements],
             "exponents": list(self.exponents),
-            "coeffs": [elem_to_text(r, self.ring) for r in self.coeffs],
+            "coeffs": [self.ring.format_elem(r) for r in self.coeffs],
             "verified": cl_verify(self),
         }
 
@@ -75,19 +75,12 @@ class NotFoundUpTo:
 CLOutcome = Union[CLCertificate, NotFoundUpTo]
 
 
-def _pow(ring: Ring, a, e: int):
-    out = ring.one()
-    for _ in range(e):
-        out = ring.mul(out, a)
-    return out
-
-
 def _cl_sides(ring: Ring, elems: Sequence, exps: Sequence[int]):
     """(product, generators): prod_i ai^mi and [aj * prod_{i<=j} ai^mi]."""
     running = ring.one()
     gens = []
     for a, m in zip(elems, exps):
-        running = ring.mul(running, _pow(ring, a, m))
+        running = ring.mul(running, ring.pow(a, m))
         gens.append(ring.mul(a, running))
     return running, gens
 
@@ -193,13 +186,13 @@ class FiniteRingDimResult:
 
     def to_dict(self) -> dict:
         out = {
-            "ring": ring_to_text(self.ring),
+            "ring": str(self.ring),
             "arity": self.arity,
             "holds": self.holds,
             "witnesses": [cert.to_dict() for _, cert in self.witnesses],
         }
         if self.failing is not None:
-            out["failing"] = [elem_to_text(a, self.ring) for a in self.failing]
+            out["failing"] = [self.ring.format_elem(a) for a in self.failing]
         return out
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
@@ -25,17 +26,9 @@ from .intmath import ext_gcd
 from .linalg import solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
 from .orderings import Lex, MonomialOrdering, ordering_from_text
-from .parsing import elem_to_text, parse_elem, parse_ring_text, ring_to_text
+from .parsing import parse_elem, parse_ring_text
 from .polynomials import Polynomial, eval_poly, trailing_term
-from .rings import (
-    IntegerRing,
-    ModularRing,
-    PolyRing,
-    PrimeField,
-    QuotRing,
-    Ring,
-    ZZ,
-)
+from .rings import ZZ, ModularRing, PolyRing, QuotRing, Ring
 
 DEFAULT_MONOMIAL_CAP = 20000
 
@@ -46,51 +39,42 @@ def _monomial_cap(cap: Optional[int]) -> int:
     return int(os.environ.get("TRDEG_MONOMIAL_CAP", str(DEFAULT_MONOMIAL_CAP)))
 
 
+@dataclass(frozen=True)
 class AlgebraConfig:
     """A supported (coefficient ring R, algebra A) pair with its structure map.
 
-    Supported table:
-      (a) R = A = ZZ                          integer span
-      (b) R = A = Zmod(n)                     residue span, lifted to ZZ
-      (c) R = ZZ, A = Poly(ZZ) or Zmod(n)     integer/residue span on coefficients
-      (d) R = A = Poly(field) or R = A = Quot ideal membership with cofactors
-      (e) R = field k, A = Poly(k) or Quot    k-linear span on coefficients
-      (f) R = A = field                       1-dimensional k-span
-    Anything else raises UnsupportedConfigError.
+    Supported table, with the scalar ring the span search solves over:
+      (a) R = A = ZZ                          ZZ: integer span
+      (b) R = A = Zmod(n)                     Zmod(n): residue span, lifted to ZZ
+      (c) R = ZZ, A = Poly(ZZ)                ZZ: integer span on coefficients
+          R = ZZ, A = Zmod(n)                 Zmod(n): residue span
+      (d) R = A = Poly(field) or R = A = Quot None: ideal membership with cofactors
+      (e) R = field k, A = Poly(k) or Quot    k: k-linear span on coefficients
+      (f) R = A = field k                     k: 1-dimensional k-span
+    Anything else raises UnsupportedConfigError at construction.
     """
 
-    def __init__(self, coeff_ring: Ring, algebra: Ring):
-        self.coeff_ring = coeff_ring
-        self.algebra = algebra
-        self.kind = self._classify(coeff_ring, algebra)
+    coeff_ring: Ring
+    algebra: Ring
 
-    @staticmethod
-    def _classify(r: Ring, a: Ring) -> str:
-        if isinstance(r, IntegerRing):
-            if isinstance(a, IntegerRing):
-                return "zz"
-            if isinstance(a, PolyRing) and isinstance(a.base, IntegerRing):
-                return "zz"
-            if isinstance(a, ModularRing) and not isinstance(a, PrimeField):
-                return "zmod"
-        if isinstance(r, ModularRing) and not r.is_field:
-            if r == a:
-                return "zmod"
-        if r.is_field:
-            if r == a:
-                return "field"
-            if isinstance(a, PolyRing) and a.base == r:
-                return "field"
-            if isinstance(a, QuotRing) and a.poly_ring.base == r:
-                return "field"
-        if r == a and isinstance(r, (PolyRing, QuotRing)):
-            base = r.base if isinstance(r, PolyRing) else r.poly_ring.base
-            if base.is_field:
-                return "ideal"
-        raise UnsupportedConfigError(
-            f"unsupported (coefficient ring, algebra) pair: "
-            f"({ring_to_text(r)}, {ring_to_text(a)})"
-        )
+    def __post_init__(self):
+        self.scalars  # raises for an unsupported pair
+
+    @cached_property
+    def scalars(self) -> Optional[Ring]:
+        """The ring the span search solves over, or None for ideal membership."""
+        r, a = self.coeff_ring, self.algebra
+        if isinstance(a, (PolyRing, QuotRing)):
+            base = a.poly_ring.base
+            if r == a and base.is_field:
+                return None
+            if r == base and (r == ZZ or r.is_field):
+                return r
+        elif r == a:
+            return r
+        elif r == ZZ and a.is_finite and not a.is_field:
+            return a
+        raise UnsupportedConfigError(f"unsupported (coefficient ring, algebra) pair: ({r}, {a})")
 
     def scalar_map(self) -> Callable:
         r, a = self.coeff_ring, self.algebra
@@ -98,24 +82,7 @@ class AlgebraConfig:
             return lambda c: c
         if isinstance(a, ModularRing):
             return lambda c: c % a.modulus
-        if isinstance(a, PolyRing):
-            return lambda c: Polynomial.constant(a.base, c)
-        if isinstance(a, QuotRing):
-            return lambda c: a.reduce(Polynomial.constant(a.poly_ring.base, c))
-        raise UnsupportedConfigError(f"no structure map into {ring_to_text(a)}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraConfig)
-            and other.coeff_ring == self.coeff_ring
-            and other.algebra == self.algebra
-        )
-
-    def __hash__(self):
-        return hash((self.coeff_ring, self.algebra))
-
-    def __repr__(self):
-        return f"AlgebraConfig({ring_to_text(self.coeff_ring)}, {ring_to_text(self.algebra)})"
+        return lambda c: a.reduce(Polynomial.constant(a.poly_ring.base, c))
 
 
 @dataclass
@@ -137,12 +104,12 @@ class SubmonicCertificate:
         a, r = self.config.algebra, self.config.coeff_ring
         terms = self.ordering.sort(self.poly.terms)
         return {
-            "ring": ring_to_text(a),
-            "coeff_ring": ring_to_text(r),
+            "ring": str(a),
+            "coeff_ring": str(r),
             "ordering": self.ordering.to_text(),
-            "elements": [elem_to_text(v, a) for v in self.elements],
+            "elements": [a.format_elem(v) for v in self.elements],
             "poly": [
-                [elem_to_text(self.poly.terms[m], r), [list(p) for p in m.exps]]
+                [r.format_elem(self.poly.terms[m]), [list(p) for p in m.exps]]
                 for m in terms
             ],
             "trailing": [list(p) for p in self.trailing.exps],
@@ -282,7 +249,7 @@ def search_submonic_relation(
     mons = ordering.sort(monomials_up_to_degree(n, maxdeg))
     values = _evaluate_monomials(mons, elems, config.algebra)
 
-    if config.kind == "ideal":
+    if config.scalars is None:
         return _search_ideal(config, elems, ordering, maxdeg, mons, values)
     return _search_span(config, elems, ordering, maxdeg, mons, values)
 
@@ -295,7 +262,7 @@ def _search_span(
     mons: list[Monomial],
     values: dict[Monomial, object],
 ) -> DependenceVerdict:
-    algebra = config.algebra
+    algebra, scalars = config.algebra, config.scalars
     if isinstance(algebra, (PolyRing, QuotRing)):
         poly_vals = [values[m] for m in mons]
         basis = _coefficient_basis(poly_vals)
@@ -305,11 +272,6 @@ def _search_span(
     else:
         vecs = [[values[m]] for m in mons]
         dim = 1
-
-    # A Z/n span runs over the algebra Z/n, a field span over the
-    # coefficient field, which _classify makes the algebra's base field.
-    kind = config.kind
-    scalars = ZZ if kind == "zz" else algebra if kind == "zmod" else config.coeff_ring
     structure = span_structure(scalars, dim)
 
     # One reversed pass: after processing index i the structure spans exactly
@@ -329,7 +291,7 @@ def _search_span(
     # gives a relation, and a short one has far smaller coefficients.  Over a
     # field every spanning prefix gives the same coefficients as all of them.
     # Z/n solves on all.
-    size = len(gens) if config.kind == "zmod" else 1
+    size = len(gens) if not scalars.is_field and scalars != ZZ else 1
     coeffs = solve_in_span(vecs[hit], gens[:size], scalars)
     while coeffs is None and size < len(gens):
         size = min(2 * size, len(gens))
@@ -454,13 +416,13 @@ class DependenceMatrixReport:
             "counts": self.counts,
             "entries": [
                 {
-                    "elements": [elem_to_text(v, algebra) for v in e.elements],
+                    "elements": [algebra.format_elem(v) for v in e.elements],
                     "verdict": e.verdict,
                 }
                 for e in self.entries
             ],
             "independent_candidates": [
-                [elem_to_text(v, algebra) for v in t]
+                [algebra.format_elem(v) for v in t]
                 for t in self.independent_candidates
             ],
         }

@@ -22,7 +22,6 @@ from .errors import InternalInconsistencyError
 from .monomials import Monomial
 from .orderings import GrevLex, MonomialOrdering
 from .polynomials import Polynomial, leading_term
-from .rings import QuotRing
 
 
 class GroebnerBasis:
@@ -236,11 +235,9 @@ def ideal_cofactors(target: Polynomial, gens: list, ring) -> Optional[list]:
     ring is a polynomial ring over a field or a quotient of one; a quotient's
     relations join the generators, and its cofactors come back reduced.
     """
-    if isinstance(ring, QuotRing):
-        relations = list(ring.relations)
-        cof = membership_cofactors(target, gens + relations, GrevLex(), ring.poly_ring.base)
-        return None if cof is None else [ring.reduce(c) for c in cof[: len(gens)]]
-    return membership_cofactors(target, gens, GrevLex(), ring.base)
+    ideal = gens + list(ring.relations)
+    cof = membership_cofactors(target, ideal, GrevLex(), ring.poly_ring.base)
+    return None if cof is None else [ring.reduce(c) for c in cof[: len(gens)]]
 
 
 def staircase_dimension_from_gb(gb: GroebnerBasis, nvars: int) -> int:

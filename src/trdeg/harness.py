@@ -29,7 +29,7 @@ from .errors import InternalInconsistencyError, ResourceCapExceeded, TrdegError
 from .groebner import staircase_dimension_from_gb
 from .monomials import monomials_up_to_degree
 from .orderings import GrevLex, MonomialOrdering, ordering_from_text
-from .parsing import parse_ring_text, ring_to_text
+from .parsing import parse_ring_text
 from .polynomials import Polynomial
 from .rings import (
     IntegerRing,
@@ -111,8 +111,8 @@ class ExperimentSpec:
             "coeff_bound": self.coeff_bound,
             "search_degree_bound": self.search_degree_bound,
             "ordering": self.ordering.to_text(),
-            "coeff_ring": ring_to_text(self.coeff_ring),
-            "ambient": ring_to_text(self.ambient),
+            "coeff_ring": str(self.coeff_ring),
+            "ambient": str(self.ambient),
             "sampling_law": SAMPLING_LAW,
         }
 

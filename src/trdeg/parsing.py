@@ -1,4 +1,4 @@
-"""Text forms: ring descriptors, polynomial expressions, ordering names.
+"""Parsing: ring descriptors and polynomial expressions.
 
 Polynomial grammar (explicit '*', no implicit products):
 
@@ -15,6 +15,10 @@ followed by parsing is the identity on elements.
 Ring descriptors:
 
     ZZ | QQ | Zmod(n) | GF(p) | Poly(base; v1,v2,...) | Quot(Poly(...); [g1, ...])
+
+Printing lives on the rings: str(ring) is its descriptor and
+ring.format_elem(a) the text of an element, which for a polynomial ring is
+poly_to_text below.
 """
 
 from __future__ import annotations
@@ -154,11 +158,7 @@ class _Parser:
         if self.at_symbol("^"):
             self.advance()
             _, digits, _ = self.expect("INT")
-            exp = int(digits)
-            result = ring.one()
-            for _ in range(exp):
-                result = ring.mul(result, value)
-            return result
+            return ring.pow(value, int(digits))
         return value
 
     def parse_atom(self, ring: Ring, scope: dict):
@@ -192,16 +192,15 @@ class _Parser:
 def _from_fraction(ring: Ring, q: Fraction):
     if q.denominator == 1:
         return ring.from_int(q.numerator)
-    if isinstance(ring, PolyRing):
-        return Polynomial.constant(ring.base, _from_fraction(ring.base, q))
-    if isinstance(ring, QuotRing):
-        return ring.reduce(_from_fraction(ring.poly_ring, q))
+    if isinstance(ring, (PolyRing, QuotRing)):
+        base = ring.poly_ring.base
+        return ring.reduce(Polynomial.constant(base, _from_fraction(base, q)))
     if ring.is_field:
         den = ring.from_int(q.denominator)
         if not den:
-            raise TrdegError(f"denominator {q.denominator} is zero in {ring_to_text(ring)}")
+            raise TrdegError(f"denominator {q.denominator} is zero in {ring}")
         return ring.div(ring.from_int(q.numerator), den)
-    raise TrdegError(f"rational literal {q} needs a field, not {ring_to_text(ring)}")
+    raise TrdegError(f"rational literal {q} needs a field, not {ring}")
 
 
 def _scope(ring: Ring) -> dict:
@@ -210,17 +209,15 @@ def _scope(ring: Ring) -> dict:
     Inner ring variables appear as constants of the outer ring; a name used
     at two nesting levels would be ambiguous and is rejected.
     """
-    if isinstance(ring, QuotRing):
-        inner = _scope(ring.poly_ring)
-        return {name: ring.reduce(v) for name, v in inner.items()}
-    if isinstance(ring, PolyRing):
-        out = {name: ring.var(i + 1) for i, name in enumerate(ring.names)}
-        for name, value in _scope(ring.base).items():
-            if name in out:
-                raise ValueError(f"variable name {name!r} is used at two nesting levels")
-            out[name] = Polynomial.constant(ring.base, value)
-        return out
-    return {}
+    if not isinstance(ring, (PolyRing, QuotRing)):
+        return {}
+    cover = ring.poly_ring
+    out = {name: cover.var(i + 1) for i, name in enumerate(cover.names)}
+    for name, value in _scope(cover.base).items():
+        if name in out:
+            raise ValueError(f"variable name {name!r} is used at two nesting levels")
+        out[name] = Polynomial.constant(cover.base, value)
+    return {name: ring.reduce(v) for name, v in out.items()}
 
 
 def parse_ring_text(text: str) -> Ring:
@@ -247,24 +244,6 @@ def parse_elem(text: str, ring: Ring):
 _PRINT_ORDER = GrevLex()
 
 
-def ring_to_text(ring: Ring) -> str:
-    if isinstance(ring, QuotRing):
-        rels = ", ".join(poly_to_text(g, ring.poly_ring) for g in ring.relations)
-        return f"Quot({ring_to_text(ring.poly_ring)}; [{rels}])"
-    if isinstance(ring, PolyRing):
-        return f"Poly({ring_to_text(ring.base)}; {','.join(ring.names)})"
-    cls = type(ring).__name__
-    if cls == "IntegerRing":
-        return "ZZ"
-    if cls == "RationalRing":
-        return "QQ"
-    if cls == "PrimeField":
-        return f"GF({ring.modulus})"
-    if cls == "ModularRing":
-        return f"Zmod({ring.modulus})"
-    raise TrdegError(f"no text form for ring type {cls}")
-
-
 def _monomial_text(m: Monomial, names: tuple[str, ...]) -> str:
     parts = []
     for i, e in m:
@@ -283,18 +262,13 @@ def poly_to_text(p: Polynomial, ring: PolyRing) -> str:
     for m in monomials:
         c = p.terms[m]
         mono = _monomial_text(m, ring.names)
-        if isinstance(c, Polynomial):
-            inner_ring = ring.base
-            if isinstance(inner_ring, QuotRing):
-                inner_ring = inner_ring.poly_ring
-            ctext = poly_to_text(c, inner_ring)
-            if c.is_constant():
-                scalar = c.constant_coeff()
-                pieces.append(_scalar_term(scalar, mono))
-                continue
-            pieces.append(f"({ctext})*{mono}" if mono else f"({ctext})")
-        else:
+        if not isinstance(c, Polynomial):
             pieces.append(_scalar_term(c, mono))
+        elif c.is_constant():
+            pieces.append(_scalar_term(c.constant_coeff(), mono))
+        else:
+            ctext = ring.base.format_elem(c)
+            pieces.append(f"({ctext})*{mono}" if mono else f"({ctext})")
     return " + ".join(pieces).replace("+ -", "- ")
 
 
@@ -305,10 +279,7 @@ def _scalar_term(c, mono: str) -> str:
         return mono
     if c == -1:
         return f"-{mono}"
-    if isinstance(c, Fraction) or isinstance(c, int):
+    if isinstance(c, (int, Fraction)):
         return f"{c}*{mono}"
     return f"({c})*{mono}"
 
-
-def elem_to_text(value, ring: Ring) -> str:
-    return ring.format_elem(value)

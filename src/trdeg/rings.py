@@ -8,10 +8,15 @@ owns it.
 
 The protocol: a ring gives from_int, and zero and one follow from it.  add,
 mul and neg are Python's +, * and unary -; a ring overrides them only when
-its values need reducing.  A value is zero exactly when it is falsy, as
-ints, Fractions and Polynomials are, so there is no separate zero test.
-Rings are frozen dataclasses, so equality and hashing follow from their
-fields.
+its values need reducing, and pow squares repeatedly through mul.  A value
+is zero exactly when it is falsy, as ints, Fractions and Polynomials are, so
+there is no separate zero test.  Rings are frozen dataclasses, so equality
+and hashing follow from their fields, and each ring class prints its own
+descriptor (ZZ, QQ, Zmod(n), GF(p), Poly(base; names), Quot(Poly(...);
+[relations])), the text that parsing.parse_ring_text reads back.
+
+A PolyRing is its own quotient by no relations, so code written against a
+QuotRing's poly_ring, relations and reduce takes a PolyRing unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +62,19 @@ class Ring:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def pow(self, a, e: int):
+        """a^e for e >= 0, by repeated squaring."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        out = self.one()
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
+
     def is_one(self, a) -> bool:
         return a == self.one()
 
@@ -69,16 +87,14 @@ class Ring:
     def elements(self) -> Iterator:
         raise TrdegError(f"{self} is not a finite ring")
 
-    def __repr__(self) -> str:
-        from .parsing import ring_to_text
 
-        return ring_to_text(self)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class IntegerRing(Ring):
     def from_int(self, k: int):
         return k
+
+    def __repr__(self) -> str:
+        return "ZZ"
 
 
 def _rational(q):
@@ -86,7 +102,7 @@ def _rational(q):
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class RationalRing(Ring):
     """QQ; a value is an int when integral and a Fraction otherwise."""
 
@@ -106,8 +122,11 @@ class RationalRing(Ring):
             raise ZeroDivisionError("division by zero in QQ")
         return _rational(Fraction(a) / b)
 
+    def __repr__(self) -> str:
+        return "QQ"
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True)
 class ModularRing(Ring):
     """Z/n for n >= 2; elements are ints in range(n)."""
 
@@ -133,8 +152,11 @@ class ModularRing(Ring):
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
 
+    def __repr__(self) -> str:
+        return f"Zmod({self.modulus})"
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True)
 class PrimeField(ModularRing):
     """GF(p); the modulus is checked for primality at construction."""
 
@@ -147,13 +169,21 @@ class PrimeField(ModularRing):
     def div(self, a, b):
         return a * modinv(b, self.modulus) % self.modulus
 
+    def __repr__(self) -> str:
+        return f"GF({self.modulus})"
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True)
 class PolyRing(Ring):
-    """base[v1, ..., vk]; elements are Polynomials with coefficients in base."""
+    """base[v1, ..., vk]; elements are Polynomials with coefficients in base.
+
+    It is its own quotient by no relations: poly_ring is itself, relations
+    are () and reduce is the identity.
+    """
 
     base: Ring
     names: tuple[str, ...]
+    relations = ()
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -163,8 +193,15 @@ class PolyRing(Ring):
             raise ValueError(f"duplicate variable names in {self.names}")
 
     @property
+    def poly_ring(self) -> PolyRing:
+        return self
+
+    @property
     def nvars(self) -> int:
         return len(self.names)
+
+    def reduce(self, p: Polynomial) -> Polynomial:
+        return p
 
     def var(self, index: int) -> Polynomial:
         if not 1 <= index <= self.nvars:
@@ -189,8 +226,11 @@ class PolyRing(Ring):
 
         return poly_to_text(a, self)
 
+    def __repr__(self) -> str:
+        return f"Poly({self.base!r}; {','.join(self.names)})"
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True)
 class QuotRing(Ring):
     """poly_ring / (relations), with poly_ring over a field.
 
@@ -233,6 +273,10 @@ class QuotRing(Ring):
 
     def format_elem(self, a) -> str:
         return self.poly_ring.format_elem(a)
+
+    def __repr__(self) -> str:
+        rels = ", ".join(self.poly_ring.format_elem(g) for g in self.relations)
+        return f"Quot({self.poly_ring!r}; [{rels}])"
 
 
 ZZ = IntegerRing()

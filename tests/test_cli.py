@@ -56,6 +56,14 @@ class TestDep:
         data = json.loads(out)
         assert data["poly"] == [["1", [[1, 1]]], ["5", [[1, 3]]]]
 
+    def test_quotient_coefficients_printed(self, capsys):
+        # The relation's coefficients are quotient elements, printed in parentheses.
+        quot = "Quot(Poly(QQ; x,y); [x*y - 1])"
+        code, out, _ = run(capsys, "dep", "--coeffs", quot, "--ring", quot,
+                           "--elems", "x+y,x-y", "--maxdeg", "2", "--order", "lex")
+        assert code == 0
+        assert out.splitlines()[0] == "dependent: f = (-1/2*y)*x1 + (-1/2*y)*x2 + 1"
+
     def test_polynomial_algebra(self, capsys):
         code, out, _ = run(capsys, "dep", "--coeffs", "Poly(GF(7); t1,t2)",
                            "--ring", "Poly(GF(7); t1,t2)", "--elems", "t1,t1*t2",
@@ -116,6 +124,13 @@ class TestCl:
         lines = out.splitlines()
         assert lines[0].startswith("membership holds")
         assert lines[1].startswith("dependent: f =")
+
+    def test_polynomial_ring_has_no_span_solver(self, capsys):
+        code, out, err = run(capsys, "cl", "--ring", "Poly(QQ; x)", "--elems", "x",
+                             "--maxexp", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no span solver over Poly(QQ; x)\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "cl", "--ring", "ZZ", "--elems", "12,18",
@@ -320,6 +335,25 @@ class TestExperiment:
         _, out_b, _ = run(capsys, *argv)
         assert out_a == out_b
         assert "millis" not in out_a
+
+    def test_default_json_adds_only_timing(self, capsys):
+        argv = ["experiment", "--seed", "1", "--trials", "3"]
+        code, out, _ = run(capsys, *argv)
+        _, canonical, _ = run(capsys, *argv, "--canonical")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["trials"]) == 3
+        for trial in report["trials"]:
+            assert isinstance(trial.pop("millis"), float)
+        assert report == json.loads(canonical)
+
+    def test_quotient_ambient_has_no_sampling_rule(self, capsys):
+        quot = "Quot(Poly(QQ; x); [x^2])"
+        code, out, err = run(capsys, "experiment", "--trials", "1", "--coeffs", "QQ",
+                             "--ring", quot)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no sampling rule for coefficients in {quot}\n"
 
     @pytest.mark.parametrize(
         "coeffs, ring, digest",

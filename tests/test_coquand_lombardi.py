@@ -2,6 +2,7 @@
 
 import pytest
 
+from trdeg import coquand_lombardi
 from trdeg.coquand_lombardi import (
     CLCertificate,
     NotFoundUpTo,
@@ -170,6 +171,17 @@ class TestFiniteRingDim:
     def test_arity_validated(self):
         with pytest.raises(ValueError):
             finite_ring_dim_lt(ModularRing(4), 0)
+
+    def test_failing_tuple_reported(self, monkeypatch):
+        # A tuple that no exponent box up to 8|R| settles ends the enumeration.
+        monkeypatch.setattr(
+            coquand_lombardi, "cl_search", lambda ring, tup, bound, cap: NotFoundUpTo(bound)
+        )
+        result = finite_ring_dim_lt(ModularRing(4), 2)
+        assert result.holds is False
+        assert result.failing == (0, 0)
+        assert result.witnesses == []
+        assert result.to_dict()["failing"] == ["0", "0"]
 
     def test_to_dict_serializes(self):
         import json

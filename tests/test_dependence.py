@@ -39,7 +39,7 @@ ZZ_CFG = AlgebraConfig(ZZ, ZZ)
 
 class TestAlgebraConfig:
     @pytest.mark.parametrize(
-        "coeff, alg, kind",
+        "coeff, alg, route",
         [
             ("ZZ", "ZZ", "zz"),
             ("ZZ", "Poly(ZZ; x)", "zz"),
@@ -53,9 +53,26 @@ class TestAlgebraConfig:
             ("Quot(Poly(QQ; x,y); [x*y])", "Quot(Poly(QQ; x,y); [x*y])", "ideal"),
         ],
     )
-    def test_supported(self, coeff, alg, kind):
-        cfg = AlgebraConfig(parse_ring_text(coeff), parse_ring_text(alg))
-        assert cfg.kind == kind
+    def test_supported(self, coeff, alg, route):
+        r, a = parse_ring_text(coeff), parse_ring_text(alg)
+        # An integer span runs over ZZ, a residue span over the algebra Z/n, a
+        # field span over the coefficient field; ideal membership has none.
+        scalars = {"zz": ZZ, "zmod": a, "field": r, "ideal": None}[route]
+        assert AlgebraConfig(r, a).scalars == scalars
+
+    def test_equality_and_hashing(self):
+        a = AlgebraConfig(QQ, parse_ring_text("Poly(QQ; x,y)"))
+        b = AlgebraConfig(parse_ring_text("QQ"), PolyRing(QQ, ("x", "y")))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "field"}[b] == "field"
+        assert a != AlgebraConfig(QQ, PolyRing(QQ, ("x",)))
+        assert a != ZZ_CFG and AlgebraConfig(ZZ, ZZ) == ZZ_CFG
+        assert len({a, b, ZZ_CFG, AlgebraConfig(ZZ, ZZ)}) == 2
+
+    def test_unsupported_message(self):
+        with pytest.raises(UnsupportedConfigError) as exc:
+            AlgebraConfig(ZZ, QQ)
+        assert str(exc.value) == "unsupported (coefficient ring, algebra) pair: (ZZ, QQ)"
 
     @pytest.mark.parametrize(
         "coeff, alg",

@@ -12,7 +12,17 @@ from trdeg.intmath import ext_gcd, is_probable_prime, modinv
 from trdeg.monomials import ONE, Monomial, compositions, monomials_up_to_degree
 from trdeg.polynomials import Polynomial, eval_poly, leading_term, trailing_term
 from trdeg.orderings import GrevLex, Lex
-from trdeg.rings import GF, QQ, ZZ, IntegerRing, PolyRing, QuotRing, RationalRing, Zmod
+from trdeg.rings import (
+    GF,
+    QQ,
+    ZZ,
+    IntegerRing,
+    ModularRing,
+    PolyRing,
+    QuotRing,
+    RationalRing,
+    Zmod,
+)
 from trdeg.parsing import parse_elem, parse_ring_text
 
 
@@ -312,6 +322,33 @@ class TestRings:
             assert (not v) == (v == zero)
             assert not ring.sub(v, v)
             assert ring.mul(v, one) == v and ring.add(v, zero) == v
+
+    @pytest.mark.parametrize(
+        "ring, text",
+        [("ZZ", "-3"), ("QQ", "-2/3"), ("Zmod(12)", "5"), ("Poly(QQ; x)", "x - 1/2"),
+         ("Quot(Poly(QQ; x,y); [x^2 - y, y^3 - 2])", "x + y")],
+    )
+    def test_pow_matches_repeated_multiplication(self, ring, text):
+        ring = parse_ring_text(ring)
+        a = parse_elem(text, ring)
+        expected = ring.one()
+        for e in range(21):
+            assert ring.pow(a, e) == expected
+            expected = ring.mul(expected, a)
+        with pytest.raises(ValueError):
+            ring.pow(a, -1)
+
+    def test_parsed_power_squares(self, monkeypatch):
+        calls = []
+        original = ModularRing.mul
+
+        def counting(self, a, b):
+            calls.append(None)
+            return original(self, a, b)
+
+        monkeypatch.setattr(ModularRing, "mul", counting)
+        assert parse_elem("3^1000000", Zmod(7)) == pow(3, 1000000, 7)
+        assert len(calls) <= 42
 
     def test_quotient_basis_computed_once(self, monkeypatch):
         from trdeg import groebner

@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import trdeg
+from trdeg.parsing import parse_ring_text
+from trdeg.rings import GF, QQ, ZZ, PolyRing, Ring, Zmod
 
 
 def test_no_assert_in_package():
@@ -72,3 +74,26 @@ def test_all_lists_exactly_the_imported_names():
         for alias in node.names
     ]
     assert sorted(trdeg.__all__) == sorted(imported)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_ring_class_prints_its_descriptor():
+    # Each ring class prints the descriptor that parses back to it; a new
+    # class needs a sample here and its own __repr__.
+    samples = [
+        ZZ,
+        QQ,
+        Zmod(12),
+        GF(7),
+        PolyRing(QQ, ("x", "y")),
+        PolyRing(PolyRing(GF(5), ("t",)), ("x",)),
+        parse_ring_text("Quot(Poly(QQ; x,y); [x*y - 1, x^2 + 1/2*y])"),
+    ]
+    assert set(_subclasses(Ring)) == {type(r) for r in samples}
+    for ring in samples:
+        assert parse_ring_text(repr(ring)) == ring
