@@ -21,11 +21,11 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from .groebner import ideal_cofactors
+from .groebner import IncrementalBasis, ideal_cofactors
 from .intmath import ext_gcd
 from .linalg import solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
-from .orderings import Lex, MonomialOrdering, ordering_from_text
+from .orderings import GrevLex, Lex, MonomialOrdering, ordering_from_text
 from .parsing import parse_elem, parse_ring_text
 from .polynomials import Polynomial, eval_poly, trailing_term
 from .rings import ZZ, ModularRing, PolyRing, QuotRing, Ring
@@ -311,14 +311,36 @@ def _search_ideal(
     mons: list[Monomial],
     values: dict[Monomial, object],
 ) -> DependenceVerdict:
+    """Least t = mons[i] whose value lies in the ideal I_i generated by the
+    values of mons[i+1:] (and the algebra's relations).
+
+    The candidate ideals are nested, I_i growing as i falls, so one reverse
+    sweep decides every membership on a single growing basis: the value of
+    mons[i] is a member exactly when its normal form is zero, and otherwise
+    it joins and the basis is completed over the new pairs only.  Once the
+    basis is the unit ideal every smaller index is a member, so the hit is 0
+    and the sweep stops.  Cofactors come from one tracked basis of I_hit.
+    """
     algebra = config.algebra
-    for i, t in enumerate(mons):
-        cof = ideal_cofactors(values[t], [values[s] for s in mons[i + 1 :]], algebra)
-        if cof is None:
-            continue
-        terms = {t: algebra.one()} | {s: algebra.neg(c) for s, c in zip(mons[i + 1 :], cof)}
-        return _package(config, elems, ordering, maxdeg, Polynomial(algebra, terms), t)
-    return NoRelationUpTo(maxdeg)
+    basis = IncrementalBasis(GrevLex(), algebra.poly_ring.base)
+    for rel in algebra.relations:
+        basis.add(rel)
+    hit = None
+    for i in range(len(mons) - 1, -1, -1):
+        if basis.add(values[mons[i]]):
+            hit = i
+        elif i > 0 and basis.is_unit_ideal():
+            hit = 0
+            break
+    if hit is None:
+        return NoRelationUpTo(maxdeg)
+
+    t, above = mons[hit], mons[hit + 1 :]
+    cof = ideal_cofactors(values[t], [values[s] for s in above], algebra)
+    if cof is None:
+        raise InternalInconsistencyError("the sweep disagreed with the cofactor search")
+    terms = {t: algebra.one()} | {s: algebra.neg(c) for s, c in zip(above, cof)}
+    return _package(config, elems, ordering, maxdeg, Polynomial(algebra, terms), t)
 
 
 def _package(

@@ -1,20 +1,26 @@
 """Buchberger's algorithm over field coefficients, with optional cofactor
 tracking so ideal membership can return an explicit witness.
 
-Pair selection is the normal strategy (least lcm under the ordering, ties to
-the least index pair); each pair's lcm and its ordering key are computed
-once, when the pair is formed.  Pairs are skipped by the coprime-leading-
-monomial criterion and the chain criterion.  Each element is made monic as
-it enters the basis, together with its cofactor row, so neither S-polynomials
-nor division divide by a leading coefficient.  The returned basis is reduced
-(minimal, inter-reduced, monic, sorted by ascending leading monomial), hence
-canonical for the ideal and ordering.  Inter-reduction takes one pass: the
-leading monomials of a minimal basis are pairwise indivisible and reducing a
-tail never changes them, so a tail reduced once stays reduced.
+IncrementalBasis holds the one pair loop: append queues a generator's pairs
+and complete treats them.  buchberger appends every generator and completes
+once; the ideal route of the dependence search appends one value at a time
+and completes after each, so only the new pairs are formed.  Queued pairs
+wait in a heap keyed by (ordering key of the lcm, i, j), which is the normal
+strategy (least lcm under the ordering, ties to the least index pair); each
+pair's lcm and key are computed once, when the pair is formed.  Pairs are
+skipped by the coprime-leading-monomial criterion and the chain criterion.
+Each element is made monic as it enters the basis, together with its
+cofactor row, so neither S-polynomials nor division divide by a leading
+coefficient.  The basis buchberger returns is reduced (minimal,
+inter-reduced, monic, sorted by ascending leading monomial), hence canonical
+for the ideal and ordering.  Inter-reduction takes one pass: the leading
+monomials of a minimal basis are pairwise indivisible and reducing a tail
+never changes them, so a tail reduced once stays reduced.
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -94,6 +100,92 @@ def normal_form_with_quotients(
     return _divide(p, gb.polys, gb._leads, gb.ordering, gb.field)
 
 
+class IncrementalBasis:
+    """A Groebner basis under construction.  After complete, polys is a
+    Groebner basis (not reduced) of the ideal of everything appended.  With
+    track, reps[i] is combined from the rows given to append exactly as
+    polys[i] is combined from the appended generators."""
+
+    def __init__(self, ordering: MonomialOrdering, field, track: bool = False):
+        self.ordering = ordering
+        self.field = field
+        self.polys: list[Polynomial] = []
+        self.leads: list[Monomial] = []
+        self.reps: Optional[list[list[Polynomial]]] = [] if track else None
+        # (ordering key of the lcm, i, j, lcm) of every untreated pair i < j;
+        # live holds their (i, j) for the chain criterion.
+        self._heap: list[tuple] = []
+        self._live: set[tuple[int, int]] = set()
+
+    def append(self, g: Polynomial, rep: Optional[list[Polynomial]] = None) -> None:
+        """Add g != 0 and its cofactor row, both scaled so g is monic, and its pairs."""
+        lm, lc = leading_term(g, self.ordering)
+        field = self.field
+        if not field.is_one(lc):
+            inv = field.div(field.one(), lc)
+            g = g.scale(inv)
+            if self.reps is not None:
+                rep = [c.scale(inv) for c in rep]
+        new = len(self.polys)
+        self.polys.append(g)
+        if self.reps is not None:
+            self.reps.append(rep)
+        for k, other in enumerate(self.leads):
+            lcm = other.lcm(lm)
+            heapq.heappush(self._heap, (self.ordering.key(lcm), k, new, lcm))
+            self._live.add((k, new))
+        self.leads.append(lm)
+
+    def complete(self) -> None:
+        """Reduce the S-polynomial of every queued pair, appending nonzero
+        remainders (whose pairs join the queue), until no pair is left."""
+        polys, leads, reps, live = self.polys, self.leads, self.reps, self._live
+        one = self.field.one()
+        while self._heap:
+            _, i, j, lcm = heapq.heappop(self._heap)
+            live.discard((i, j))
+            lm_i, lm_j = leads[i], leads[j]
+            if lcm == lm_i * lm_j:
+                continue  # coprime leading monomials reduce to zero
+            if any(
+                k != i
+                and k != j
+                and leads[k].divides(lcm)
+                and (min(i, k), max(i, k)) not in live
+                and (min(j, k), max(j, k)) not in live
+                for k in range(len(polys))
+            ):
+                continue  # chain criterion
+
+            mon_i = lcm.div(lm_i)
+            mon_j = lcm.div(lm_j)
+            s = polys[i].mul_term(mon_i, one) - polys[j].mul_term(mon_j, one)
+            r, quots = _divide(s, polys, leads, self.ordering, self.field)
+            if not r:
+                continue
+            rep = None
+            if reps is not None:
+                rep = [
+                    a.mul_term(mon_i, one) - b.mul_term(mon_j, one)
+                    for a, b in zip(reps[i], reps[j])
+                ]
+                rep = _rep_minus(rep, quots, reps)
+            self.append(r, rep)
+
+    def add(self, p: Polynomial) -> bool:
+        """True when p lies in the ideal of the complete basis; otherwise its
+        normal form joins and the basis is completed again.  Untracked only."""
+        r = _divide(p, self.polys, self.leads, self.ordering, self.field)[0]
+        if not r:
+            return True
+        self.append(r)
+        self.complete()
+        return False
+
+    def is_unit_ideal(self) -> bool:
+        return any(lm.is_one() for lm in self.leads)
+
+
 def buchberger(
     gens: Sequence[Polynomial],
     ordering: MonomialOrdering,
@@ -101,82 +193,25 @@ def buchberger(
     track: bool = False,
 ) -> GroebnerBasis:
     gens = list(gens)
-    one = field.one()
-    basis: list[Polynomial] = []
-    leads: list[Monomial] = []
-    reps: list[list[Polynomial]] = []
-    # (i, j) -> (ordering key of the lcm, lcm) of the pair's leading monomials.
-    pending: dict[tuple[int, int], tuple[tuple, Monomial]] = {}
-
-    def append(g: Polynomial, rep: Optional[list[Polynomial]]) -> None:
-        """Add g and its cofactor row, both scaled so g is monic, and its pairs."""
-        lm, lc = leading_term(g, ordering)
-        if not field.is_one(lc):
-            inv = field.div(one, lc)
-            g = g.scale(inv)
-            if track:
-                rep = [c.scale(inv) for c in rep]
-        basis.append(g)
-        if track:
-            reps.append(rep)
-        for k, other in enumerate(leads):
-            lcm = other.lcm(lm)
-            pending[k, len(leads)] = (ordering.key(lcm), lcm)
-        leads.append(lm)
-
+    basis = IncrementalBasis(ordering, field, track)
     for k, g in enumerate(gens):
         if g:
             unit = [Polynomial(field) for _ in gens]
-            unit[k] = Polynomial.constant(field, one)
-            append(g, unit)
-
-    while pending:
-        best = min(pending, key=lambda p: (pending[p][0], p))
-        best_lcm = pending.pop(best)[1]
-        i, j = best
-        lm_i, lm_j = leads[i], leads[j]
-        if best_lcm == lm_i * lm_j:
-            continue  # coprime leading monomials reduce to zero
-        if any(
-            k not in best
-            and leads[k].divides(best_lcm)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(basis))
-        ):
-            continue  # chain criterion
-
-        mon_i = best_lcm.div(lm_i)
-        mon_j = best_lcm.div(lm_j)
-        s = basis[i].mul_term(mon_i, one) - basis[j].mul_term(mon_j, one)
-        r, quots = _divide(s, basis, leads, ordering, field)
-        if not r:
-            continue
-        rep = None
-        if track:
-            rep = [
-                a.mul_term(mon_i, one) - b.mul_term(mon_j, one)
-                for a, b in zip(reps[i], reps[j])
-            ]
-            rep = _rep_minus(rep, quots, reps)
-        append(r, rep)
-
-    return _reduce_basis(basis, leads, reps if track else None, ordering, field)
+            unit[k] = Polynomial.constant(field, field.one())
+            basis.append(g, unit)
+    basis.complete()
+    return _reduce_basis(basis)
 
 
-def _reduce_basis(
-    basis: list[Polynomial],
-    leads: list[Monomial],
-    reps: Optional[list[list[Polynomial]]],
-    ordering: MonomialOrdering,
-    field,
-) -> GroebnerBasis:
+def _reduce_basis(basis: IncrementalBasis) -> GroebnerBasis:
+    polys, leads, reps = basis.polys, basis.leads, basis.reps
+    ordering, field = basis.ordering, basis.field
     # Minimal: drop any element whose leading monomial another one divides.
     keep: list[int] = []
-    for idx in sorted(range(len(basis)), key=lambda k: leads[k].natural_key()):
+    for idx in sorted(range(len(polys)), key=lambda k: leads[k].natural_key()):
         if not any(leads[k].divides(leads[idx]) for k in keep):
             keep.append(idx)
-    polys = [basis[k] for k in keep]
+    polys = [polys[k] for k in keep]
     leads = [leads[k] for k in keep]
     kept_reps = [reps[k] for k in keep] if reps is not None else None
 

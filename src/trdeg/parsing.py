@@ -260,14 +260,15 @@ def poly_to_text(p: Polynomial, ring: PolyRing) -> str:
     monomials = sorted(p.terms, key=_PRINT_ORDER.key, reverse=True)
     pieces = []
     for m in monomials:
-        c = p.terms[m]
+        c, base = p.terms[m], ring.base
+        # A constant polynomial coefficient prints as its constant, one level down.
+        while isinstance(c, Polynomial) and c.is_constant():
+            c, base = c.constant_coeff(), base.poly_ring.base
         mono = _monomial_text(m, ring.names)
         if not isinstance(c, Polynomial):
             pieces.append(_scalar_term(c, mono))
-        elif c.is_constant():
-            pieces.append(_scalar_term(c.constant_coeff(), mono))
         else:
-            ctext = ring.base.format_elem(c)
+            ctext = base.format_elem(c)
             pieces.append(f"({ctext})*{mono}" if mono else f"({ctext})")
     return " + ".join(pieces).replace("+ -", "- ")
 

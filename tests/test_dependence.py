@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from propcheck import check_plain_eval
-from trdeg import dependence
+from trdeg import dependence, groebner
 from trdeg.dependence import (
     AlgebraConfig,
     Dependent,
@@ -21,6 +21,7 @@ from trdeg.dependence import (
     verify_certificate,
 )
 from trdeg.errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
+from trdeg.groebner import IncrementalBasis, buchberger, ideal_cofactors
 from trdeg.harness import sample_element
 from trdeg.linalg import solve_in_span, span_structure
 from trdeg.monomials import ONE, Monomial, monomials_up_to_degree
@@ -203,9 +204,8 @@ class TestSearchOtherConfigs:
         assert isinstance(verdict, Dependent)
 
 
-def _span_vectors(cfg, elems, mons):
-    """The coefficient vector of each candidate's value, as the search builds them."""
-    algebra = cfg.algebra
+def _monomial_values(algebra, elems, mons):
+    """The value of each candidate at the elements, by repeated multiplication."""
     values = []
     for mon in mons:
         value = algebra.one()
@@ -213,6 +213,13 @@ def _span_vectors(cfg, elems, mons):
             for _ in range(e):
                 value = algebra.mul(value, elems[i - 1])
         values.append(value)
+    return values
+
+
+def _span_vectors(cfg, elems, mons):
+    """The coefficient vector of each candidate's value, as the search builds them."""
+    algebra = cfg.algebra
+    values = _monomial_values(algebra, elems, mons)
     if isinstance(algebra, PolyRing):
         basis = sorted({b for v in values for b in v.terms}, key=Monomial.natural_key)
         return [[v.coeff(b) for b in basis] for v in values]
@@ -337,6 +344,121 @@ class TestFieldPrefixSolve:
             terms.update((s, r.neg(c)) for s, c in zip(mons[hit + 1 :], full) if c)
             assert cert.poly == Polynomial(r, terms)
         assert dependent >= 20
+
+
+def _per_candidate_ideal_search(cfg, elems, ordering, maxdeg):
+    """(trailing monomial, relation) from one ideal_cofactors call per
+    candidate, least first; (None, None) when no candidate is a member."""
+    algebra = cfg.algebra
+    mons = ordering.sort(monomials_up_to_degree(len(elems), maxdeg))
+    values = _monomial_values(algebra, elems, mons)
+    for i, t in enumerate(mons):
+        cof = ideal_cofactors(values[i], values[i + 1 :], algebra)
+        if cof is not None:
+            terms = {t: algebra.one()} | {s: algebra.neg(c) for s, c in zip(mons[i + 1 :], cof)}
+            return t, Polynomial(algebra, terms)
+    return None, None
+
+
+def _sparse_element(rng, ring):
+    """One or two terms of degree at most 2 with small nonzero coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        x, y = (rng.choice([ONE, Monomial.var(rng.randint(1, 2))]) for _ in range(2))
+        terms[x * y] = rng.choice([-2, -1, 1, 2])
+    return ring.reduce(Polynomial(QQ, terms))
+
+
+class TestIdealSweep:
+    """The reverse sweep over the nested candidate ideals against one tracked
+    membership test per candidate."""
+
+    @pytest.mark.parametrize(
+        "ring_text", ["Poly(QQ; x,y)", "Quot(Poly(QQ; x,y); [x*y])"]
+    )
+    def test_matches_per_candidate_membership(self, ring_text):
+        ring = parse_ring_text(ring_text)
+        cfg = AlgebraConfig(ring, ring)
+        rng = random.Random(ring_text)
+        verdicts = {"dependent": 0, "none": 0}
+        for _ in range(60):
+            arity = rng.randint(1, 3)
+            maxdeg = rng.randint(1, 4 if arity < 3 else 2)
+            ordering = rng.choice([GrevLex(), Lex()])
+            elems = tuple(_sparse_element(rng, ring) for _ in range(arity))
+            verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
+            trailing, relation = _per_candidate_ideal_search(cfg, elems, ordering, maxdeg)
+            if trailing is None:
+                assert verdict == NoRelationUpTo(maxdeg)
+                verdicts["none"] += 1
+            else:
+                assert verdict.certificate.trailing == trailing
+                assert verdict.certificate.poly == relation
+                verdicts["dependent"] += 1
+        assert min(verdicts.values()) >= 5
+
+    def test_quotient_relations_join_the_ideal(self):
+        # y = y*(x + 1) - x*y: y lies in the ideal of x + 1 only modulo x*y.
+        ring = parse_ring_text("Quot(Poly(QQ; x,y); [x*y])")
+        cfg = AlgebraConfig(ring, ring)
+        elems = (parse_elem("x + 1", ring), parse_elem("y", ring))
+        verdict = search_submonic_relation(cfg, elems, Lex(), 1)
+        assert verdict.certificate.trailing == m((2, 1))
+        assert _per_candidate_ideal_search(cfg, elems, Lex(), 1)[1] == verdict.certificate.poly
+
+    def test_unit_ideal_partway_stops_the_sweep(self, monkeypatch):
+        # Greatest first, the values are x^2, x^2 + x, x^2 + 2x + 1: with the
+        # first two they generate 1, so every smaller candidate is a member.
+        ring = parse_ring_text("Poly(QQ; x)")
+        cfg = AlgebraConfig(ring, ring)
+        x = parse_elem("x", ring)
+        elems = (x, x + ring.one())
+        mons = GrevLex().sort(monomials_up_to_degree(2, 2))
+        values = _monomial_values(ring, elems, mons)
+        assert buchberger(values[3:], GrevLex(), QQ).is_unit_ideal()
+        sizes = []
+        original = IncrementalBasis.add
+
+        def recording(basis, p):
+            sizes.append(len(basis.polys))
+            return original(basis, p)
+
+        monkeypatch.setattr(IncrementalBasis, "add", recording)
+        verdict = search_submonic_relation(cfg, elems, GrevLex(), 2)
+        assert verdict.certificate.trailing == ONE
+        assert len(sizes) == 3  # the three greatest candidates only
+        assert _per_candidate_ideal_search(cfg, elems, GrevLex(), 2)[1] == verdict.certificate.poly
+
+
+class TestIdealSearchCost:
+    """A tracked (cofactor) basis is built only for the hit."""
+
+    def _tracked_runs(self, monkeypatch, ring_text, texts, ordering, maxdeg):
+        ring = parse_ring_text(ring_text)
+        calls = []
+
+        def counting(gens, ordering, field, track=False):
+            calls.append(track)
+            return buchberger(gens, ordering, field, track)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        elems = tuple(parse_elem(t, ring) for t in texts)
+        verdict = search_submonic_relation(AlgebraConfig(ring, ring), elems, ordering, maxdeg)
+        return verdict, calls.count(True)
+
+    def test_no_relation_builds_no_tracked_basis(self, monkeypatch):
+        verdict, tracked = self._tracked_runs(
+            monkeypatch, "Poly(QQ; x,y,z)", ["x*y", "y*z", "x*z"], GrevLex(), 3
+        )
+        assert verdict == NoRelationUpTo(3)
+        assert tracked == 0
+
+    def test_dependent_builds_one_tracked_basis(self, monkeypatch):
+        verdict, tracked = self._tracked_runs(
+            monkeypatch, "Poly(GF(7); t1,t2)", ["t1", "t1*t2"], Lex(), 2
+        )
+        assert verdict.certificate.trailing == m((2, 1))
+        assert tracked == 1
 
 
 class TestCrossRingMetamorphic:

@@ -120,6 +120,27 @@ class TestElementText:
             f = Polynomial(GF(7), terms)
             assert parse_elem(poly_to_text(f, P), P) == f
 
+    def test_nested_coefficients_roundtrip(self):
+        # A coefficient that is a constant of a deeper ring prints through
+        # that ring; two-level output keeps its form.
+        two = parse_ring_text("Poly(Poly(QQ; t); x)")
+        f = parse_elem("-1/3*x^2 + (t^2+1)*x - t + 2", two)
+        assert two.format_elem(f) == "-1/3*x^2 + (t^2 + 1)*x + (-t + 2)"
+        three = parse_ring_text("Poly(Poly(Poly(QQ; s); t); x)")
+        assert three.format_elem(parse_elem("s*x", three)) == "(s)*x"
+        assert three.format_elem(parse_elem("-x + 1/2", three)) == "-x + 1/2"
+        rng = random.Random(31)
+        four = parse_ring_text("Poly(Poly(Poly(Poly(GF(5); r); s); t); x)")
+        for ring, names in ((three, "stx"), (four, "rstx")):
+            for _ in range(50):
+                text = "".join(
+                    f" {rng.choice('+-')} {rng.randint(0, 3)}*"
+                    + "*".join(f"{v}^{rng.randint(0, 2)}" for v in names)
+                    for _ in range(rng.randint(1, 4))
+                )
+                f = parse_elem(text, ring)
+                assert parse_elem(ring.format_elem(f), ring) == f
+
     def test_rational_coefficients_roundtrip(self):
         P = parse_ring_text("Poly(QQ; x)")
         f = parse_elem("1/2*x^2 - 2/3", P)

@@ -1,10 +1,13 @@
 """Source-level guards on the trdeg package."""
 
 import ast
+import re
 from pathlib import Path
 
 import trdeg
+from trdeg.monomials import Monomial
 from trdeg.parsing import parse_ring_text
+from trdeg.polynomials import Polynomial
 from trdeg.rings import GF, QQ, ZZ, PolyRing, Ring, Zmod
 
 
@@ -97,3 +100,18 @@ def test_every_ring_class_prints_its_descriptor():
     assert set(_subclasses(Ring)) == {type(r) for r in samples}
     for ring in samples:
         assert parse_ring_text(repr(ring)) == ring
+
+
+def test_readme_library_example_runs():
+    # The README's python block runs as written, and its comments hold.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(block, namespace)
+    cert, cl, sub = namespace["cert"], namespace["cl"], namespace["sub"]
+    x1, x2 = Monomial.var(1), Monomial.var(2)
+    assert cert.poly == Polynomial(ZZ, {x2 * x2: 1, x1: -27})
+    assert cert.trailing == x2 * x2 and cert.verified
+    assert (cl.exponents, cl.coeffs) == ((2,), (11,))
+    assert sub.poly == Polynomial(Zmod(12), {x1 * x1 * x1: 1, x1 * x1: 1})
+    assert sub.trailing == x1 * x1 and sub.verified
