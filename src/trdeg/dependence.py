@@ -8,6 +8,17 @@ order; t wins as soon as t(a) lies in the R-span of the evaluations of the
 strictly greater monomials within the bound, which is exact linear algebra
 for scalar coefficient rings and exact ideal membership when R acts as the
 whole ring.
+
+The span route works on one vector per candidate: the coefficient vector of
+its value over the monomials that occur in some value, in
+Monomial.natural_key order (a scalar algebra's value is its own 1-vector).
+On a PolyRing over ZZ, QQ or GF(p) the values are not built as
+Polynomials: Kronecker substitution packs each element into one int, each
+value is one int product, and the vectors are read off slots wide enough for
+the proven coefficient bound (see _span_vectors).  The packing box can be
+far larger than the values (many variables, few terms); such inputs, quotient
+algebras and the ideal route multiply Polynomials.  check_certificate always
+evaluates through eval_poly.
 """
 
 from __future__ import annotations
@@ -17,7 +28,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
@@ -31,6 +43,9 @@ from .polynomials import Polynomial, eval_poly, trailing_term
 from .rings import ZZ, ModularRing, PolyRing, QuotRing, Ring
 
 DEFAULT_MONOMIAL_CAP = 20000
+# _packed_vectors packs only when its box has at most this many slots per
+# term that the largest value can have (see its docstring).
+_BOX_PER_TERM = 16
 
 
 def _monomial_cap(cap: Optional[int]) -> int:
@@ -218,6 +233,119 @@ def _coefficient_basis(values: Sequence[Polynomial]) -> list[Monomial]:
     return sorted(support, key=Monomial.natural_key)
 
 
+def _span_vectors(
+    mons: Sequence[Monomial], elems: Sequence, config: AlgebraConfig
+) -> list[list]:
+    """The vector of each candidate's value at the elements, in the order of mons.
+
+    A scalar algebra's value is its own 1-vector.  A polynomial or quotient
+    algebra's value is its coefficient vector over the monomials that have a
+    nonzero coefficient in some value, in Monomial.natural_key order, the
+    column order that fixes the Hermite and echelon forms.  A QuotRing
+    multiplies Polynomials.  A PolyRing (over ZZ, QQ or GF(p), the ones
+    AlgebraConfig admits here) packs unless its box is too sparse, see
+    _packed_vectors, into slots of B = bitlen(N^maxdeg) + 2 bits, N the
+    largest l1 norm of the elements' integer lifts a'_i: |coefficient of
+    m(a')| <= prod ||a'_i||_1^e_i <= N^maxdeg, since ||fg||_1 <= ||f||_1
+    ||g||_1.  A PolyRing that does not pack multiplies Polynomials too.
+    """
+    algebra = config.algebra
+    if isinstance(algebra, PolyRing):
+        vecs = _packed_vectors(mons, elems, algebra.base)
+        if vecs is not None:
+            return vecs
+    values = _evaluate_monomials(mons, elems, algebra)
+    if not isinstance(algebra, (PolyRing, QuotRing)):
+        return [[values[m]] for m in mons]
+    poly_vals = [values[m] for m in mons]
+    basis = _coefficient_basis(poly_vals)
+    zero = algebra.poly_ring.base.zero()
+    return [[v.terms.get(b, zero) for b in basis] for v in poly_vals]
+
+
+def _multisets(size: int, count: int) -> int:
+    """Number of products of count factors drawn from size terms."""
+    return math.comb(size + count - 1, count)
+
+
+def _box_cells(radix: Sequence[int], top: int) -> list[Monomial]:
+    """The monomials with x_j-degree < radix[j - 1] and total degree <= top,
+    in Monomial.natural_key order: the only slots of a packed value that can
+    be nonzero when top bounds its total degree."""
+    cells = (Monomial(enumerate(v, 1)) for v in product(*map(range, radix)) if sum(v) <= top)
+    return sorted(cells, key=Monomial.natural_key)
+
+
+def _packed_vectors(
+    mons: Sequence[Monomial], elems: Sequence, base: Ring
+) -> Optional[list[list]]:
+    """_span_vectors on base[x] for base ZZ, QQ or GF(p), by Kronecker
+    substitution; None when the box is too large for the values to pay.
+
+    Each element a_i becomes its integer lift a'_i = d_i * a_i (d_i clears
+    the denominators; over GF(p) the coefficients are lifted to [0, p)),
+    packed as one int with x^v at bit B * idx(v), where idx is mixed-radix
+    with radix maxdeg * (largest x_j-degree of the elements) + 1 for x_j.
+    The value of m is one int product, formed like _evaluate_monomials.  B
+    is rounded up to whole bytes and the signed slots are decoded with a
+    bias of 2^(B-1), only at the cells inside the degree simplex (total
+    degree <= maxdeg * the largest element degree); a slot is then divided
+    by prod d_i^e_i over QQ and reduced mod p over GF(p).  Every product
+    spans the whole box, which can hold about nvars! times as many slots as
+    the simplex, or far more than a product of few terms has; so a box of
+    more than _BOX_PER_TERM slots per term that the largest value can have
+    is not packed.
+    """
+    maxdeg = max(m.degree for m in mons)
+    modulus = base.modulus if isinstance(base, ModularRing) else None
+    lifts, dens = [], []
+    for a in elems:
+        d = math.lcm(*(c.denominator for c in a.terms.values()))
+        lift = {m: int(c * d) for m, c in a.terms.items()}
+        lifts.append({m: c % modulus for m, c in lift.items()} if modulus else lift)
+        dens.append(d)
+    nvars = max(1, max(a.max_var_index() for a in elems))
+    radix = [
+        maxdeg * max((m.exponent(j) for lift in lifts for m in lift), default=0) + 1
+        for j in range(1, nvars + 1)
+    ]
+    top = maxdeg * max((m.degree for lift in lifts for m in lift), default=0)
+    slots = math.prod(radix)
+    # The largest value has at most this many terms: no more than the
+    # degree simplex has cells, nor than its factors have products.
+    sizes = [max(1, len(lift)) for lift in lifts]
+    terms = max(math.prod(map(_multisets, sizes, m.vector)) for m in mons if m.degree == maxdeg)
+    if slots > _BOX_PER_TERM * min(terms, math.comb(nvars + top, nvars)):
+        return None
+    weights = [math.prod(radix[:j]) for j in range(nvars)]
+    norm = max(1, max(sum(map(abs, lift.values())) for lift in lifts))
+    width = -(-((norm**maxdeg).bit_length() + 2) // 8)  # bitlen(N^maxdeg) + 2 bits, in bytes
+    bits = 8 * width
+    packed_elems = [
+        sum(c << bits * sum(map(mul, m.vector, weights)) for m, c in lift.items())
+        for lift in lifts
+    ]
+    packed = _evaluate_monomials(mons, packed_elems, ZZ)
+
+    cells = _box_cells(radix, top)
+    offsets = [width * sum(map(mul, c.vector, weights)) for c in cells]
+    half = 1 << (bits - 1)
+    bias = half * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
+    rows = []
+    for m in mons:
+        buf = (packed[m] + bias).to_bytes(width * slots, "little")
+        row = [int.from_bytes(buf[k : k + width], "little") - half for k in offsets]
+        rows.append([c % modulus for c in row] if modulus else row)
+
+    cols = [k for k in range(len(cells)) if any(row[k] for row in rows)]
+    vecs = []
+    for m, row in zip(mons, rows):
+        d = math.prod(map(pow, dens, m.vector))
+        vec = [row[k] for k in cols]
+        vecs.append(vec if d == 1 else [base.div(c, d) for c in vec])
+    return vecs
+
+
 def search_submonic_relation(
     config: AlgebraConfig,
     elems: Sequence,
@@ -247,11 +375,10 @@ def search_submonic_relation(
         )
 
     mons = ordering.sort(monomials_up_to_degree(n, maxdeg))
-    values = _evaluate_monomials(mons, elems, config.algebra)
-
     if config.scalars is None:
+        values = _evaluate_monomials(mons, elems, config.algebra)
         return _search_ideal(config, elems, ordering, maxdeg, mons, values)
-    return _search_span(config, elems, ordering, maxdeg, mons, values)
+    return _search_span(config, elems, ordering, maxdeg, mons, _span_vectors(mons, elems, config))
 
 
 def _search_span(
@@ -260,19 +387,10 @@ def _search_span(
     ordering: MonomialOrdering,
     maxdeg: int,
     mons: list[Monomial],
-    values: dict[Monomial, object],
+    vecs: list[list],
 ) -> DependenceVerdict:
-    algebra, scalars = config.algebra, config.scalars
-    if isinstance(algebra, (PolyRing, QuotRing)):
-        poly_vals = [values[m] for m in mons]
-        basis = _coefficient_basis(poly_vals)
-        zero = poly_vals[0].ring.zero()
-        vecs = [[v.terms.get(b, zero) for b in basis] for v in poly_vals]
-        dim = len(basis)
-    else:
-        vecs = [[values[m]] for m in mons]
-        dim = 1
-    structure = span_structure(scalars, dim)
+    scalars = config.scalars
+    structure = span_structure(scalars, len(vecs[0]))
 
     # One reversed pass: after processing index i the structure spans exactly
     # the evaluations of monomials strictly greater than mons[i-1].

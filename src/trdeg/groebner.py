@@ -62,19 +62,20 @@ def _rep_minus(rep, quots, reps) -> list[Polynomial]:
     return rep
 
 
-def _divide(
+def _remainder(
     p: Polynomial,
     divisors: list[Polynomial],
     leads: list[Monomial],
     ordering: MonomialOrdering,
     field,
-) -> tuple[Polynomial, list[Polynomial]]:
-    """Full division by monic divisors with leading monomials leads:
-    p == sum(q_i * divisors_i) + r with no monomial of r divisible by any
-    lead.  The leading monomial of the work strictly falls, so each quotient
-    and remainder monomial is written once."""
+    quotients: Optional[list[dict[Monomial, object]]] = None,
+) -> Polynomial:
+    """Remainder r of full division by monic divisors with leading monomials
+    leads: p == sum(q_i * divisors_i) + r with no monomial of r divisible by
+    any lead.  The terms of q_i are written into quotients[i] when quotients
+    is given.  The leading monomial of the work strictly falls, so each
+    quotient and remainder monomial is written once."""
     remainder: dict[Monomial, object] = {}
-    quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
     work = p
     while work:
         lm, lc = leading_term(work, ordering)
@@ -82,16 +83,30 @@ def _divide(
             if glm.divides(lm):
                 mon = lm.div(glm)
                 work = work - divisors[i].mul_term(mon, lc)
-                quotients[i][mon] = lc
+                if quotients is not None:
+                    quotients[i][mon] = lc
                 break
         else:
             remainder[lm] = lc
             work = work - Polynomial(field, {lm: lc})
-    return Polynomial(field, remainder), [Polynomial(field, q) for q in quotients]
+    return Polynomial(field, remainder)
+
+
+def _divide(
+    p: Polynomial,
+    divisors: list[Polynomial],
+    leads: list[Monomial],
+    ordering: MonomialOrdering,
+    field,
+) -> tuple[Polynomial, list[Polynomial]]:
+    """(remainder, quotients) of _remainder's division."""
+    quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
+    r = _remainder(p, divisors, leads, ordering, field, quotients)
+    return r, [Polynomial(field, q) for q in quotients]
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return _divide(p, gb.polys, gb._leads, gb.ordering, gb.field)[0]
+    return _remainder(p, gb.polys, gb._leads, gb.ordering, gb.field)
 
 
 def normal_form_with_quotients(
@@ -160,22 +175,23 @@ class IncrementalBasis:
             mon_i = lcm.div(lm_i)
             mon_j = lcm.div(lm_j)
             s = polys[i].mul_term(mon_i, one) - polys[j].mul_term(mon_j, one)
-            r, quots = _divide(s, polys, leads, self.ordering, self.field)
-            if not r:
+            if reps is None:
+                r = _remainder(s, polys, leads, self.ordering, self.field)
+                if r:
+                    self.append(r)
                 continue
-            rep = None
-            if reps is not None:
+            r, quots = _divide(s, polys, leads, self.ordering, self.field)
+            if r:
                 rep = [
                     a.mul_term(mon_i, one) - b.mul_term(mon_j, one)
                     for a, b in zip(reps[i], reps[j])
                 ]
-                rep = _rep_minus(rep, quots, reps)
-            self.append(r, rep)
+                self.append(r, _rep_minus(rep, quots, reps))
 
     def add(self, p: Polynomial) -> bool:
         """True when p lies in the ideal of the complete basis; otherwise its
         normal form joins and the basis is completed again.  Untracked only."""
-        r = _divide(p, self.polys, self.leads, self.ordering, self.field)[0]
+        r = _remainder(p, self.polys, self.leads, self.ordering, self.field)
         if not r:
             return True
         self.append(r)
@@ -218,10 +234,11 @@ def _reduce_basis(basis: IncrementalBasis) -> GroebnerBasis:
     # Inter-reduce tails; one pass suffices (see the module docstring).
     for i in range(len(polys)):
         others = leads[:i] + leads[i + 1 :]
-        r, quots = _divide(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)
-        polys[i] = r
-        if reps is not None:
-            kept_reps[i] = _rep_minus(kept_reps[i], quots, kept_reps[:i] + kept_reps[i + 1 :])
+        if reps is None:
+            polys[i] = _remainder(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)
+            continue
+        polys[i], quots = _divide(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)
+        kept_reps[i] = _rep_minus(kept_reps[i], quots, kept_reps[:i] + kept_reps[i + 1 :])
 
     final = sorted(range(len(polys)), key=lambda k: ordering.key(leads[k]))
     polys = [polys[k] for k in final]

@@ -25,7 +25,12 @@ from .dependence import (
     SubmonicCertificate,
     search_submonic_relation,
 )
-from .errors import InternalInconsistencyError, ResourceCapExceeded, TrdegError
+from .errors import (
+    InternalInconsistencyError,
+    ResourceCapExceeded,
+    TrdegError,
+    UnsupportedConfigError,
+)
 from .groebner import staircase_dimension_from_gb
 from .monomials import monomials_up_to_degree
 from .orderings import GrevLex, MonomialOrdering, ordering_from_text
@@ -101,6 +106,7 @@ class ExperimentSpec:
         if self.search_degree_bound < 0:
             raise ValueError("search degree bound must be >= 0")
         AlgebraConfig(self.coeff_ring, self.ambient)
+        _sampled_ring(self.ambient)
 
     def to_dict(self) -> dict:
         return {
@@ -133,25 +139,32 @@ class ExperimentSpec:
         return out
 
 
+def _sampled_ring(ambient: Ring) -> Ring:
+    """The ring sample_element draws scalars from: a PolyRing's coefficient
+    ring, else the ambient itself; only ZZ, QQ and Z/n have a rule."""
+    drawn = ambient.base if isinstance(ambient, PolyRing) else ambient
+    if not isinstance(drawn, (IntegerRing, RationalRing, ModularRing)):
+        raise UnsupportedConfigError(f"no sampling rule for coefficients in {drawn}")
+    return drawn
+
+
 def _sample_scalar(rng: random.Random, base: Ring, bound: int):
-    if isinstance(base, (IntegerRing, RationalRing)):
-        return rng.randint(-bound, bound)
-    if isinstance(base, ModularRing):
-        return rng.randint(-bound, bound) % base.modulus
-    raise TrdegError(f"no sampling rule for coefficients in {base!r}")
+    c = rng.randint(-bound, bound)
+    return c % base.modulus if isinstance(base, ModularRing) else c
 
 
 def sample_element(rng: random.Random, ambient: Ring, degree_bound: int, coeff_bound: int):
     """One nonzero element; polynomial ambients get dense random coefficients."""
+    base = _sampled_ring(ambient)
     if isinstance(ambient, PolyRing):
         mons = monomials_up_to_degree(ambient.nvars, degree_bound)
         while True:
-            coeffs = [_sample_scalar(rng, ambient.base, coeff_bound) for _ in mons]
-            p = Polynomial(ambient.base, dict(zip(mons, coeffs)))
+            coeffs = [_sample_scalar(rng, base, coeff_bound) for _ in mons]
+            p = Polynomial(base, dict(zip(mons, coeffs)))
             if p:
                 return p
     while True:
-        a = _sample_scalar(rng, ambient, coeff_bound)
+        a = _sample_scalar(rng, base, coeff_bound)
         if a:
             return a
 

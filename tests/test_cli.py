@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import trdeg
-from trdeg import cli, coquand_lombardi, dependence, groebner
+from trdeg import cli, coquand_lombardi, dependence, groebner, harness
 from trdeg.cli import main
+from trdeg.errors import UnsupportedConfigError
+from trdeg.parsing import parse_ring_text
+from trdeg.rings import QQ
 
 
 def run(capsys, *argv):
@@ -347,13 +351,23 @@ class TestExperiment:
             assert isinstance(trial.pop("millis"), float)
         assert report == json.loads(canonical)
 
-    def test_quotient_ambient_has_no_sampling_rule(self, capsys):
+    def test_quotient_ambient_has_no_sampling_rule(self, capsys, monkeypatch):
+        # AlgebraConfig admits QQ into the quotient, but no element can be
+        # drawn; the spec is refused before any trial runs.
         quot = "Quot(Poly(QQ; x); [x^2])"
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "sample_element", no_trial)
         code, out, err = run(capsys, "experiment", "--trials", "1", "--coeffs", "QQ",
                              "--ring", quot)
         assert code == 2
         assert out == ""
         assert err == f"error: no sampling rule for coefficients in {quot}\n"
+        spec = harness.ExperimentSpec(coeff_ring=QQ, ambient=parse_ring_text(quot))
+        with pytest.raises(UnsupportedConfigError, match=re.escape(quot)):
+            spec.validate()
 
     @pytest.mark.parametrize(
         "coeffs, ring, digest",

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -344,6 +345,151 @@ class TestFieldPrefixSolve:
             terms.update((s, r.neg(c)) for s, c in zip(mons[hit + 1 :], full) if c)
             assert cert.poly == Polynomial(r, terms)
         assert dependent >= 20
+
+
+def _random_element(rng, base, nvars):
+    """Zero, a constant, or up to four terms in x1..x_nvars of degree <= 2 each,
+    with negative coefficients and, over QQ, fractions."""
+    kind = rng.random()
+    terms = {}
+    if kind < 0.1:
+        pass
+    elif kind < 0.25:
+        terms[ONE] = rng.choice([-1, 1]) * rng.randint(1, 300)
+    else:
+        for _ in range(rng.randint(1, 4)):
+            mon = Monomial((j, rng.randint(0, 2)) for j in range(1, nvars + 1))
+            c = rng.randint(-9, 9)
+            terms[mon] = Fraction(c, rng.randint(1, 6)) if base == QQ else c
+    if isinstance(base, ModularRing):
+        terms = {mon: c % base.modulus for mon, c in terms.items()}
+    return Polynomial(base, terms)
+
+
+class TestPackedSpanVectors:
+    """The span pass packs Poly(ZZ / QQ / GF(p)) values into ints; its vectors
+    equal the coefficient vectors of the Polynomial products."""
+
+    BASES = {"ZZ": ZZ, "QQ": QQ, "GF(2)": PrimeField(2), "GF(7)": PrimeField(7)}
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_matches_polynomial_products(self, name):
+        base = self.BASES[name]
+        rng = random.Random(f"packed {name}")
+        packed = 0
+        for _ in range(80):
+            nvars, arity, maxdeg = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 4)
+            cfg = AlgebraConfig(base, PolyRing(base, tuple("xyz"[:nvars])))
+            elems = tuple(_random_element(rng, base, nvars) for _ in range(arity))
+            mons = GrevLex().sort(monomials_up_to_degree(arity, maxdeg))
+            want = _span_vectors(cfg, elems, mons)
+            got = dependence._packed_vectors(mons, elems, base)
+            if got is not None:
+                packed += 1
+                assert got == want
+                assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want]
+            assert dependence._span_vectors(mons, elems, cfg) == want
+        # Sparse three-variable inputs may decline to pack; most inputs pack.
+        assert packed >= 60
+
+    @pytest.mark.parametrize(
+        "coeff, elem, other",
+        [
+            ("ZZ", "255", "x"),
+            ("ZZ", "-255", "x - 1"),
+            ("ZZ", "-255*x^2", "x"),
+            ("QQ", "-255/4", "1/2*x"),
+            ("QQ", "255*x", "-1"),
+            ("GF(257)", "255", "x"),
+        ],
+    )
+    @pytest.mark.parametrize("maxdeg", [1, 2, 3])
+    def test_slots_reach_the_bound(self, coeff, elem, other, maxdeg):
+        # One term of absolute value N (after clearing denominators) makes the
+        # value of x1^maxdeg a single slot of absolute value N^maxdeg, the
+        # proven bound; 255^maxdeg fills whole bytes, so no rounding slack
+        # hides a slot that is too narrow.
+        base = parse_ring_text(coeff)
+        cfg = AlgebraConfig(base, PolyRing(base, ("x",)))
+        elems = (parse_elem(elem, cfg.algebra), parse_elem(other, cfg.algebra))
+        mons = GrevLex().sort(monomials_up_to_degree(2, maxdeg))
+        assert dependence._packed_vectors(mons, elems, base) == _span_vectors(cfg, elems, mons)
+
+    def test_five_variables_decode_only_the_simplex(self, monkeypatch):
+        # The values have total degree <= 2, so of the 3^5 slots of the box
+        # only the C(7, 5) cells of degree <= 2 are decoded.
+        ring = parse_ring_text("Poly(ZZ; a,b,c,d,e)")
+        cfg = AlgebraConfig(ZZ, ring)
+        elems = tuple(parse_elem(t, ring) for t in ("1 + a + b + c", "1 + c - d + e", "a - e"))
+        mons = GrevLex().sort(monomials_up_to_degree(3, 2))
+        box_cells, decoded = dependence._box_cells, []
+
+        def recording(radix, top):
+            decoded.append((math.prod(radix), box_cells(radix, top)))
+            return decoded[-1][1]
+
+        monkeypatch.setattr(dependence, "_box_cells", recording)
+        assert dependence._packed_vectors(mons, elems, ZZ) == _span_vectors(cfg, elems, mons)
+        [(slots, cells)] = decoded
+        assert (slots, len(cells)) == (3**5, math.comb(7, 5))
+        assert cells == sorted(monomials_up_to_degree(5, 2), key=Monomial.natural_key)
+
+    def test_box_far_larger_than_the_values_is_not_packed(self):
+        # Dense degree-2 elements in six variables at degree bound 6 would
+        # pack into 13^6 slots per value for at most C(18, 6) terms; one
+        # degree-9 monomial would pack into 19^3 slots for a single term.
+        rng = random.Random(6)
+        six = parse_ring_text("Poly(ZZ; a,b,c,d,e,f)")
+        dense = tuple(sample_element(rng, six, 2, 5) for _ in range(3))
+        mons = GrevLex().sort(monomials_up_to_degree(3, 6))
+        assert dependence._packed_vectors(mons, dense, ZZ) is None
+        three = parse_ring_text("Poly(ZZ; a,b,c)")
+        sparse = (parse_elem("2*a^3*b^3*c^3", three), parse_elem("a", three))
+        mons = GrevLex().sort(monomials_up_to_degree(2, 6))
+        assert dependence._packed_vectors(mons, sparse, ZZ) is None
+        cfg = AlgebraConfig(ZZ, three)
+        assert dependence._span_vectors(mons, sparse, cfg) == _span_vectors(cfg, sparse, mons)
+
+    def test_variables_beyond_the_ring(self):
+        # A library caller's polynomials may use variables the ring does not name.
+        ring = PolyRing(ZZ, ("x",))
+        cfg = AlgebraConfig(ZZ, ring)
+        elems = (
+            Polynomial(ZZ, {m((3, 2)): -4, m((1, 1)): 1, ONE: 1}),
+            Polynomial(ZZ, {m((1, 1), (2, 1)): 3, m((3, 1)): 1}),
+        )
+        mons = GrevLex().sort(monomials_up_to_degree(2, 2))
+        assert dependence._packed_vectors(mons, elems, ZZ) == _span_vectors(cfg, elems, mons)
+
+    def test_certificate_check_does_not_pack(self, monkeypatch):
+        cfg = AlgebraConfig(QQ, parse_ring_text("Poly(QQ; x)"))
+        elems = (parse_elem("1/2*x^2 - 3", cfg.algebra), parse_elem("x + 1", cfg.algebra))
+        cert = search_submonic_relation(cfg, elems, GrevLex(), 2).certificate
+        text = cert.to_json()
+
+        def broken(*args):
+            raise AssertionError("packing called")
+
+        monkeypatch.setattr(dependence, "_packed_vectors", broken)
+        assert verify_certificate(cert)
+        back = SubmonicCertificate.from_json(text)
+        assert back.verified and back.to_json() == text
+
+    def test_packing_fault_is_an_internal_error(self, monkeypatch):
+        # A wrong vector for the candidate 1 gives a relation that
+        # check_certificate refuses: it still lies in the full-rank span.
+        packed = dependence._packed_vectors
+
+        def off_by_one(mons, elems, base):
+            vecs = packed(mons, elems, base)
+            vecs[mons.index(ONE)][0] += 1
+            return vecs
+
+        monkeypatch.setattr(dependence, "_packed_vectors", off_by_one)
+        cfg = AlgebraConfig(QQ, parse_ring_text("Poly(QQ; x)"))
+        elems = (parse_elem("1/2*x^2 - 3", cfg.algebra), parse_elem("x + 1", cfg.algebra))
+        with pytest.raises(InternalInconsistencyError, match="invalid certificate"):
+            search_submonic_relation(cfg, elems, GrevLex(), 2)
 
 
 def _per_candidate_ideal_search(cfg, elems, ordering, maxdeg):
