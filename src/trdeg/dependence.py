@@ -7,7 +7,8 @@ f(a1..an) = 0?  Candidate trailing monomials are enumerated in increasing
 order; t wins as soon as t(a) lies in the R-span of the evaluations of the
 strictly greater monomials within the bound, which is exact linear algebra
 for scalar coefficient rings and exact ideal membership when R acts as the
-whole ring.
+whole ring.  Both routes run one reverse sweep (_least_member) that stops as
+soon as the greater values span everything, since 1 is then the hit.
 
 The span route works on one vector per candidate: the coefficient vector of
 its value over the monomials that occur in some value, in
@@ -51,7 +52,12 @@ _BOX_PER_TERM = 16
 def _monomial_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get("TRDEG_MONOMIAL_CAP", str(DEFAULT_MONOMIAL_CAP)))
+    text = os.environ.get("TRDEG_MONOMIAL_CAP", str(DEFAULT_MONOMIAL_CAP))
+    if not text.strip().isdecimal():
+        raise UnsupportedConfigError(
+            f"TRDEG_MONOMIAL_CAP must be a nonnegative integer, not {text!r}"
+        )
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -381,6 +387,20 @@ def search_submonic_relation(
     return _search_span(config, elems, ordering, maxdeg, mons, _span_vectors(mons, elems, config))
 
 
+def _least_member(structure, items: Sequence) -> Optional[int]:
+    """Least i with items[i] in the span (or ideal) of items[i+1:] and what
+    structure starts from, or None.  structure.add answers that and takes
+    items[i] in; once the nested spans are everything (is_full), every
+    smaller index is a member, so the sweep stops with 0."""
+    hit = None
+    for i in range(len(items) - 1, -1, -1):
+        if structure.add(items[i]):
+            hit = i
+        elif i > 0 and structure.is_full():
+            return 0
+    return hit
+
+
 def _search_span(
     config: AlgebraConfig,
     elems: tuple,
@@ -390,15 +410,7 @@ def _search_span(
     vecs: list[list],
 ) -> DependenceVerdict:
     scalars = config.scalars
-    structure = span_structure(scalars, len(vecs[0]))
-
-    # One reversed pass: after processing index i the structure spans exactly
-    # the evaluations of monomials strictly greater than mons[i-1].
-    member = [False] * len(mons)
-    for i in range(len(mons) - 1, -1, -1):
-        member[i] = structure.add(vecs[i])
-
-    hit = next((i for i, flag in enumerate(member) if flag), None)
+    hit = _least_member(span_structure(scalars, len(vecs[0])), vecs)
     if hit is None:
         return NoRelationUpTo(maxdeg)
 
@@ -435,21 +447,14 @@ def _search_ideal(
     The candidate ideals are nested, I_i growing as i falls, so one reverse
     sweep decides every membership on a single growing basis: the value of
     mons[i] is a member exactly when its normal form is zero, and otherwise
-    it joins and the basis is completed over the new pairs only.  Once the
-    basis is the unit ideal every smaller index is a member, so the hit is 0
-    and the sweep stops.  Cofactors come from one tracked basis of I_hit.
+    it joins and the basis is completed over the new pairs only (see
+    _least_member).  Cofactors come from one tracked basis of I_hit.
     """
     algebra = config.algebra
     basis = IncrementalBasis(GrevLex(), algebra.poly_ring.base)
     for rel in algebra.relations:
         basis.add(rel)
-    hit = None
-    for i in range(len(mons) - 1, -1, -1):
-        if basis.add(values[mons[i]]):
-            hit = i
-        elif i > 0 and basis.is_unit_ideal():
-            hit = 0
-            break
+    hit = _least_member(basis, [values[m] for m in mons])
     if hit is None:
         return NoRelationUpTo(maxdeg)
 

@@ -198,7 +198,7 @@ class IncrementalBasis:
         self.complete()
         return False
 
-    def is_unit_ideal(self) -> bool:
+    def is_full(self) -> bool:
         return any(lm.is_one() for lm in self.leads)
 
 

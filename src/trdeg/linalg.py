@@ -212,6 +212,10 @@ class IntLattice:
         self.rows = [row for row in h if any(row)]
         return False
 
+    def is_full(self) -> bool:
+        """Span is ZZ^dim: the Hermite form is the identity (full rank is not enough)."""
+        return len(self.rows) == self.dim and all(row[k] == 1 for k, row in enumerate(self.rows))
+
 
 class FieldEchelon:
     """Incremental reduced row echelon form over QQ or GF(p), on plain-int rows.
@@ -288,6 +292,9 @@ class FieldEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def is_full(self) -> bool:
+        return len(self.rows) == self.dim
 
 
 def span_structure(scalars: Ring, dim: int) -> Union[IntLattice, FieldEchelon]:

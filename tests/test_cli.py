@@ -101,6 +101,23 @@ class TestDep:
         assert err.startswith("error: denominator ") and "is zero in GF(" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "2.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dep", "--elems", "2,3", "--maxdeg", "2"),
+        ("depmatrix", "--elems", "2,3,4", "--size", "2", "--maxdeg", "2"),
+    ],
+    ids=["dep", "depmatrix"],
+)
+def test_invalid_monomial_cap_exits_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("TRDEG_MONOMIAL_CAP", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: TRDEG_MONOMIAL_CAP must be a nonnegative integer, not '{value}'\n"
+
+
 class TestCl:
     def test_invalid_membership_witness_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(coquand_lombardi, "cl_verify", lambda cert: False)

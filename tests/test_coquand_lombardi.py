@@ -1,5 +1,7 @@
 """Boundary-ideal membership certificates and the finite ring dimension test."""
 
+from itertools import product
+
 import pytest
 
 from trdeg import coquand_lombardi
@@ -12,9 +14,10 @@ from trdeg.coquand_lombardi import (
     cl_verify,
     finite_ring_dim_lt,
 )
-from trdeg.dependence import verify_certificate
+from trdeg.dependence import AlgebraConfig, Dependent, search_submonic_relation, verify_certificate
 from trdeg.errors import ResourceCapExceeded, UnsupportedConfigError
 from trdeg.monomials import Monomial
+from trdeg.orderings import Lex
 from trdeg.parsing import parse_elem, parse_ring_text
 from trdeg.rings import ZZ, ModularRing, PrimeField
 
@@ -143,6 +146,43 @@ class TestConversion:
                 sub = cl_to_submonic(cert)
                 assert verify_certificate(sub)
                 assert sub.degree_bound >= sub.poly.total_degree()
+
+
+class TestCrossRoute:
+    """The paper's two routes agree: a boundary-ideal certificate, read as a
+    lex-submonic relation, is a relation the direct lex search sees at the
+    same degree bound, so the search's least trailing monomial is at most
+    the converted one.  The Z/n searches stop their sweep as soon as the
+    residue lattice is everything."""
+
+    @staticmethod
+    def _agree(ring, elems, maxexp):
+        cert = cl_search(ring, elems, maxexp)
+        assert isinstance(cert, CLCertificate)
+        sub = cl_to_submonic(cert)
+        verdict = search_submonic_relation(
+            AlgebraConfig(ring, ring), elems, Lex(), sub.degree_bound
+        )
+        assert isinstance(verdict, Dependent)
+        assert Lex().compare(verdict.certificate.trailing, sub.trailing) <= 0
+
+    def test_residue_rings(self):
+        tuples = 0
+        for n in range(2, 31):
+            ring = ModularRing(n)
+            elems = list(ring.elements())
+            pairs = list(product(elems, repeat=2)) if n <= 12 else []
+            for tup in [(a,) for a in elems] + pairs:
+                self._agree(ring, tup, 4)  # 4 >= every prime exponent of n <= 30
+                tuples += 1
+        assert tuples == 1113
+
+    def test_quotient_pairs(self):
+        ring = parse_ring_text("Quot(Poly(QQ; x,y); [x*y])")
+        texts = ("x", "y", "x + 1", "x + y", "x^2 - y", "2*y + 1")
+        elems = [parse_elem(t, ring) for t in texts]
+        for pair in product(elems, repeat=2):
+            self._agree(ring, pair, 3)
 
 
 class TestFiniteRingDim:

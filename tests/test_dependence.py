@@ -492,6 +492,109 @@ class TestPackedSpanVectors:
             search_submonic_relation(cfg, elems, GrevLex(), 2)
 
 
+class TestSpanSweep:
+    """The span route's reverse sweep stops once the greater values span everything."""
+
+    @pytest.mark.parametrize("base", ["QQ", "ZZ"])
+    def test_full_span_partway_stops_the_sweep(self, monkeypatch, base):
+        # Greatest first, the values are x^k * (x + 1)^(3 - k), k = 0..3:
+        # unitriangular on 1, x, x^2, x^3, so over ZZ too the four greatest
+        # of the ten candidates span everything and 1 is the hit.
+        ring = parse_ring_text(f"Poly({base}; x)")
+        cfg = AlgebraConfig(ring.base, ring)
+        x = parse_elem("x", ring)
+        elems = (x, x + ring.one())
+        adds = []
+
+        def counting(scalars, dim):
+            # The sweep's structure only: a field solve adds to one of its own.
+            span = span_structure(scalars, dim)
+            span.add = lambda vec, add=span.add: adds.append(vec) or add(vec)
+            return span
+
+        monkeypatch.setattr(dependence, "span_structure", counting)
+        with monkeypatch.context() as never_full:
+            structure = type(span_structure(cfg.scalars, 1))
+            never_full.setattr(structure, "is_full", lambda span: False)
+            every = search_submonic_relation(cfg, elems, GrevLex(), 3).certificate
+        assert len(adds) == math.comb(5, 2)
+        adds.clear()
+        cert = search_submonic_relation(cfg, elems, GrevLex(), 3).certificate
+        assert len(adds) == 4
+        assert cert.trailing == ONE
+        assert cert.to_json() == every.to_json()
+
+
+def _spans_everything(vecs, scalars, dim):
+    """Reference for is_full: every unit vector solves in the span of vecs."""
+    units = ([int(i == j) for i in range(dim)] for j in range(dim))
+    return all(solve_in_span(e, vecs, scalars) is not None for e in units)
+
+
+class TestLeastMember:
+    """_least_member against one solve_in_span per candidate, least first."""
+
+    CONFIGS = [
+        ("ZZ", "ZZ"),
+        ("QQ", "QQ"),
+        ("GF(7)", "GF(7)"),
+        ("Zmod(6)", "Zmod(6)"),
+        ("Zmod(12)", "Zmod(12)"),
+        ("ZZ", "Zmod(12)"),
+        ("ZZ", "Poly(ZZ; x)"),
+        ("QQ", "Poly(QQ; x,y)"),
+        ("GF(7)", "Poly(GF(7); x)"),
+    ]
+
+    def test_matches_per_candidate_solves(self):
+        rng = random.Random("least member")
+        stops = {"partway": 0, "at 0": 0, "never": 0}
+        for coeff, alg in self.CONFIGS:
+            cfg = AlgebraConfig(parse_ring_text(coeff), parse_ring_text(alg))
+            scalars, algebra = cfg.scalars, cfg.algebra
+            for _ in range(25):
+                arity, maxdeg = rng.randint(1, 2), rng.randint(1, 3)
+                if isinstance(algebra, PolyRing):
+                    elems = tuple(
+                        _random_element(rng, scalars, algebra.nvars) for _ in range(arity)
+                    )
+                else:
+                    elems = tuple(sample_element(rng, algebra, 1, 8) for _ in range(arity))
+                ordering = rng.choice([Lex(), GrevLex()])
+                mons = ordering.sort(monomials_up_to_degree(arity, maxdeg))
+                vecs = dependence._span_vectors(mons, elems, cfg)
+                dim = len(vecs[0])
+                expected = next(
+                    (
+                        i
+                        for i in range(len(vecs))
+                        if solve_in_span(vecs[i], vecs[i + 1 :], scalars) is not None
+                    ),
+                    None,
+                )
+                full_from = next(
+                    (
+                        i
+                        for i in range(len(vecs) - 1, -1, -1)
+                        if _spans_everything(vecs[i:], scalars, dim)
+                    ),
+                    None,
+                )
+                structure = span_structure(scalars, dim)
+                adds = []
+                structure.add = lambda vec, add=structure.add: adds.append(vec) or add(vec)
+                assert dependence._least_member(structure, vecs) == expected
+                if full_from is None:
+                    stops["never"] += 1
+                elif full_from == 0:
+                    stops["at 0"] += 1
+                else:
+                    stops["partway"] += 1
+                    assert expected == 0
+                assert len(adds) == len(vecs) - (full_from or 0)
+        assert min(stops.values()) >= 5, stops
+
+
 def _per_candidate_ideal_search(cfg, elems, ordering, maxdeg):
     """(trailing monomial, relation) from one ideal_cofactors call per
     candidate, least first; (None, None) when no candidate is a member."""

@@ -275,6 +275,44 @@ class TestIncremental:
         assert ech.rows == {0: [3, 0, -5], 1: [0, 2, 5]}
 
 
+class TestIsFull:
+    """is_full: the span is the whole space, the stop of the search's sweep."""
+
+    def test_int_lattice_needs_index_one(self):
+        lat = IntLattice(1)
+        assert not lat.is_full()
+        lat.add([2])
+        assert not lat.is_full()  # full rank, index 2
+        lat.add([3])
+        assert lat.is_full()
+
+    def test_int_lattice_full_rank_with_a_non_unit_pivot(self):
+        lat = IntLattice(2)
+        lat.add([1, 0])
+        lat.add([0, 2])
+        assert lat.rows == [[1, 0], [0, 2]]
+        assert not lat.is_full()
+        lat.add([1, 1])
+        assert lat.is_full()
+
+    def test_residue_lattice_full_after_a_unit(self):
+        lat = span_structure(ModularRing(6), 1)
+        assert not lat.is_full()  # the modulus row [6] alone
+        lat.add([2])
+        assert not lat.is_full()
+        lat.add([5])
+        assert lat.is_full()
+
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    def test_field_echelon_full_at_rank_dim(self, ring):
+        ech = FieldEchelon(3, ring)
+        for vec in ([1, 2, 0], [2, 4, 0], [0, 1, 1]):
+            ech.add([ring.from_int(x) for x in vec])
+            assert not ech.is_full()
+        ech.add([ring.from_int(x) for x in (1, 0, 4)])
+        assert ech.rank == 3 and ech.is_full()
+
+
 def hnf_transform_solution(target, gens):
     """sum(q_k * U[k]) from the public hnf's (H, U), q the pivot quotients."""
     if not gens:
