@@ -27,7 +27,7 @@ from .monomials import ONE, Monomial, compositions
 from .orderings import Lex
 from .parsing import parse_elem, parse_ring_text
 from .polynomials import Polynomial
-from .rings import QuotRing, Ring
+from .rings import Ring
 
 
 @dataclass
@@ -85,15 +85,13 @@ def _cl_sides(ring: Ring, elems: Sequence, exps: Sequence[int]):
     return running, gens
 
 
-def _membership(ring: Ring, target, gens: list) -> Optional[list]:
-    """Coefficients r with target == sum(r_j * gens_j) in R, or None.
-
-    A quotient ring goes through Groebner cofactors; ZZ, a field or Z/n
-    through a 1-dimensional span solve, which rejects any other ring.
-    """
-    if isinstance(ring, QuotRing):
+def _membership(ring: Ring, scalars: Optional[Ring], target, gens: list) -> Optional[list]:
+    """Coefficients r with target == sum(r_j * gens_j) in R, or None: Groebner
+    cofactors when scalars, AlgebraConfig(ring, ring).scalars, is None, else
+    a 1-dimensional span solve over scalars."""
+    if scalars is None:
         return ideal_cofactors(target, gens, ring)
-    return solve_in_span([target], [[g] for g in gens], ring)
+    return solve_in_span([target], [[g] for g in gens], scalars)
 
 
 def cl_search(
@@ -111,13 +109,14 @@ def cl_search(
     limit = cap if cap is not None else 200000
     if count > limit:
         raise ResourceCapExceeded(f"{count} exponent tuples exceed the cap {limit}")
+    scalars = AlgebraConfig(ring, ring).scalars  # raises for an unsupported ring
 
     for total in range(n * maxexp + 1):
         for exps in compositions(total, n):
             if any(m > maxexp for m in exps):
                 continue
             target, gens = _cl_sides(ring, elems, exps)
-            coeffs = _membership(ring, target, gens)
+            coeffs = _membership(ring, scalars, target, gens)
             if coeffs is not None:
                 cert = CLCertificate(ring, elems, tuple(exps), tuple(coeffs))
                 if not cl_verify(cert):

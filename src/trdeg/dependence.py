@@ -7,8 +7,14 @@ f(a1..an) = 0?  Candidate trailing monomials are enumerated in increasing
 order; t wins as soon as t(a) lies in the R-span of the evaluations of the
 strictly greater monomials within the bound, which is exact linear algebra
 for scalar coefficient rings and exact ideal membership when R acts as the
-whole ring.  Both routes run one reverse sweep (_least_member) that stops as
-soon as the greater values span everything, since 1 is then the hit.
+whole ring.  One search body serves both routes: a reverse sweep
+(_least_member) adds each candidate's item to a structure, which answers
+whether the item is already in the span, and stops as soon as the greater
+values span everything, since 1 is then the hit.  The span route adds the
+values' vectors to span_structure and solves for the hit on prefixes of the
+greater vectors; the ideal route adds the values to one growing GroebnerBasis
+seeded with the algebra's relations (a value is a member exactly when its
+normal form is zero) and takes the hit's cofactors from ideal_cofactors.
 
 The span route works on one vector per candidate: the coefficient vector of
 its value over the monomials that occur in some value, in
@@ -34,7 +40,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from .groebner import IncrementalBasis, ideal_cofactors
+from .groebner import GroebnerBasis, ideal_cofactors
 from .intmath import ext_gcd
 from .linalg import solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
@@ -44,14 +50,14 @@ from .polynomials import Polynomial, eval_poly, trailing_term
 from .rings import ZZ, ModularRing, PolyRing, QuotRing, Ring
 
 DEFAULT_MONOMIAL_CAP = 20000
+# dependence_matrix refuses a pool with more arity-subsets than this.
+MAX_TUPLES = 5000
 # _packed_vectors packs only when its box has at most this many slots per
 # term that the largest value can have (see its docstring).
 _BOX_PER_TERM = 16
 
 
-def _monomial_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
+def _monomial_cap() -> int:
     text = os.environ.get("TRDEG_MONOMIAL_CAP", str(DEFAULT_MONOMIAL_CAP))
     if not text.strip().isdecimal():
         raise UnsupportedConfigError(
@@ -357,14 +363,13 @@ def search_submonic_relation(
     elems: Sequence,
     ordering: MonomialOrdering,
     maxdeg: int,
-    cap: Optional[int] = None,
 ) -> DependenceVerdict:
     """First (least trailing monomial) submonic relation of degree <= maxdeg.
 
     Deterministic: candidates are scanned in increasing ordering position, and
     the coefficient extraction is exact.  Raises ResourceCapExceeded when the
-    candidate count math.comb(maxdeg + n, n) exceeds the cap, which is a
-    distinct outcome from NoRelationUpTo.
+    candidate count math.comb(maxdeg + n, n) exceeds TRDEG_MONOMIAL_CAP, which
+    is a distinct outcome from NoRelationUpTo.
     """
     elems = tuple(elems)
     if not elems:
@@ -373,7 +378,7 @@ def search_submonic_relation(
         raise ValueError("degree bound must be nonnegative")
     n = len(elems)
     count = math.comb(maxdeg + n, n)
-    limit = _monomial_cap(cap)
+    limit = _monomial_cap()
     if count > limit:
         raise ResourceCapExceeded(
             f"{count} candidate monomials exceed the cap {limit}; "
@@ -381,10 +386,37 @@ def search_submonic_relation(
         )
 
     mons = ordering.sort(monomials_up_to_degree(n, maxdeg))
-    if config.scalars is None:
-        values = _evaluate_monomials(mons, elems, config.algebra)
-        return _search_ideal(config, elems, ordering, maxdeg, mons, values)
-    return _search_span(config, elems, ordering, maxdeg, mons, _span_vectors(mons, elems, config))
+    algebra, scalars = config.algebra, config.scalars
+    if scalars is None:
+        values = _evaluate_monomials(mons, elems, algebra)
+        items = [values[m] for m in mons]
+        structure = GroebnerBasis(GrevLex(), algebra.poly_ring.base)
+        for rel in algebra.relations:
+            structure.add(rel)
+    else:
+        items = _span_vectors(mons, elems, config)
+        structure = span_structure(scalars, len(items[0]))
+    hit = _least_member(structure, items)
+    if hit is None:
+        return NoRelationUpTo(maxdeg)
+
+    if scalars is None:
+        coeffs = ideal_cofactors(items[hit], items[hit + 1 :], algebra)
+    else:
+        coeffs = _solve_on_prefixes(items[hit], items[hit + 1 :], scalars)
+    if coeffs is None:
+        raise InternalInconsistencyError("the sweep disagreed with the solver")
+    r = config.coeff_ring
+    terms = {mons[hit]: r.one()} | {s: r.neg(c) for s, c in zip(mons[hit + 1 :], coeffs)}
+    cert = SubmonicCertificate(
+        config=config,
+        elements=elems,
+        ordering=ordering,
+        poly=Polynomial(r, terms),
+        trailing=mons[hit],
+        degree_bound=maxdeg,
+    )
+    return Dependent(mark_verified(cert, "search produced an invalid certificate"))
 
 
 def _least_member(structure, items: Sequence) -> Optional[int]:
@@ -401,88 +433,19 @@ def _least_member(structure, items: Sequence) -> Optional[int]:
     return hit
 
 
-def _search_span(
-    config: AlgebraConfig,
-    elems: tuple,
-    ordering: MonomialOrdering,
-    maxdeg: int,
-    mons: list[Monomial],
-    vecs: list[list],
-) -> DependenceVerdict:
-    scalars = config.scalars
-    hit = _least_member(span_structure(scalars, len(vecs[0])), vecs)
-    if hit is None:
-        return NoRelationUpTo(maxdeg)
-
-    above = mons[hit + 1 :]
-    gens = vecs[hit + 1 :]
-    # Solve on 1, 2, 4, ... of the greater values; zip below skips the
+def _solve_on_prefixes(target: list, gens: list[list], scalars: Ring) -> Optional[list]:
+    """solve_in_span for target over prefixes of gens, or None."""
+    # Solve on 1, 2, 4, ... of the greater values; the caller's zip skips the
     # monomials past the prefix (coefficient 0).  Over ZZ any spanning prefix
     # gives a relation, and a short one has far smaller coefficients.  Over a
     # field every spanning prefix gives the same coefficients as all of them.
     # Z/n solves on all.
     size = len(gens) if not scalars.is_field and scalars != ZZ else 1
-    coeffs = solve_in_span(vecs[hit], gens[:size], scalars)
+    coeffs = solve_in_span(target, gens[:size], scalars)
     while coeffs is None and size < len(gens):
         size = min(2 * size, len(gens))
-        coeffs = solve_in_span(vecs[hit], gens[:size], scalars)
-    if coeffs is None:
-        raise InternalInconsistencyError("incremental membership disagreed with the span solver")
-    r = config.coeff_ring
-    terms = {mons[hit]: r.one()} | {s: r.neg(c) for s, c in zip(above, coeffs)}
-    return _package(config, elems, ordering, maxdeg, Polynomial(r, terms), mons[hit])
-
-
-def _search_ideal(
-    config: AlgebraConfig,
-    elems: tuple,
-    ordering: MonomialOrdering,
-    maxdeg: int,
-    mons: list[Monomial],
-    values: dict[Monomial, object],
-) -> DependenceVerdict:
-    """Least t = mons[i] whose value lies in the ideal I_i generated by the
-    values of mons[i+1:] (and the algebra's relations).
-
-    The candidate ideals are nested, I_i growing as i falls, so one reverse
-    sweep decides every membership on a single growing basis: the value of
-    mons[i] is a member exactly when its normal form is zero, and otherwise
-    it joins and the basis is completed over the new pairs only (see
-    _least_member).  Cofactors come from one tracked basis of I_hit.
-    """
-    algebra = config.algebra
-    basis = IncrementalBasis(GrevLex(), algebra.poly_ring.base)
-    for rel in algebra.relations:
-        basis.add(rel)
-    hit = _least_member(basis, [values[m] for m in mons])
-    if hit is None:
-        return NoRelationUpTo(maxdeg)
-
-    t, above = mons[hit], mons[hit + 1 :]
-    cof = ideal_cofactors(values[t], [values[s] for s in above], algebra)
-    if cof is None:
-        raise InternalInconsistencyError("the sweep disagreed with the cofactor search")
-    terms = {t: algebra.one()} | {s: algebra.neg(c) for s, c in zip(above, cof)}
-    return _package(config, elems, ordering, maxdeg, Polynomial(algebra, terms), t)
-
-
-def _package(
-    config: AlgebraConfig,
-    elems: tuple,
-    ordering: MonomialOrdering,
-    maxdeg: int,
-    f: Polynomial,
-    trailing: Monomial,
-) -> Dependent:
-    cert = SubmonicCertificate(
-        config=config,
-        elements=elems,
-        ordering=ordering,
-        poly=f,
-        trailing=trailing,
-        degree_bound=maxdeg,
-    )
-    return Dependent(mark_verified(cert, "search produced an invalid certificate"))
+        coeffs = solve_in_span(target, gens[:size], scalars)
+    return coeffs
 
 
 def mark_verified(cert: SubmonicCertificate, message: str) -> SubmonicCertificate:
@@ -579,8 +542,6 @@ def dependence_matrix(
     arity: int,
     ordering: MonomialOrdering,
     maxdeg: int,
-    cap: Optional[int] = None,
-    max_tuples: int = 5000,
 ) -> DependenceMatrixReport:
     """Verdicts for every arity-subset of the pool, in pool order."""
     pool = list(pool)
@@ -589,14 +550,12 @@ def dependence_matrix(
     if arity < 1:
         raise ValueError("arity must be >= 1")
     total = math.comb(len(pool), arity)
-    if total > max_tuples:
-        raise ResourceCapExceeded(
-            f"{total} tuples exceed the combinatorial cap {max_tuples}"
-        )
+    if total > MAX_TUPLES:
+        raise ResourceCapExceeded(f"{total} tuples exceed the combinatorial cap {MAX_TUPLES}")
     report = DependenceMatrixReport(arity=arity, degree_bound=maxdeg)
     for tup in combinations(pool, arity):
         try:
-            verdict = search_submonic_relation(config, tup, ordering, maxdeg, cap)
+            verdict = search_submonic_relation(config, tup, ordering, maxdeg)
         except ResourceCapExceeded:
             report.entries.append(MatrixEntry(tup, "resource_exceeded"))
             continue

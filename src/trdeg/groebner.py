@@ -1,21 +1,22 @@
 """Buchberger's algorithm over field coefficients, with optional cofactor
 tracking so ideal membership can return an explicit witness.
 
-IncrementalBasis holds the one pair loop: append queues a generator's pairs
-and complete treats them.  buchberger appends every generator and completes
-once; the ideal route of the dependence search appends one value at a time
-and completes after each, so only the new pairs are formed.  Queued pairs
-wait in a heap keyed by (ordering key of the lcm, i, j), which is the normal
-strategy (least lcm under the ordering, ties to the least index pair); each
-pair's lcm and key are computed once, when the pair is formed.  Pairs are
-skipped by the coprime-leading-monomial criterion and the chain criterion.
-Each element is made monic as it enters the basis, together with its
-cofactor row, so neither S-polynomials nor division divide by a leading
-coefficient.  The basis buchberger returns is reduced (minimal,
-inter-reduced, monic, sorted by ascending leading monomial), hence canonical
-for the ideal and ordering.  Inter-reduction takes one pass: the leading
-monomials of a minimal basis are pairwise indivisible and reducing a tail
-never changes them, so a tail reduced once stays reduced.
+GroebnerBasis is the one basis class and holds the one pair loop: append
+queues a generator's pairs and complete treats them.  buchberger appends
+every generator, completes once and reduces the basis in place; the ideal
+route of the dependence search adds one value at a time and completes after
+each, so only the new pairs are formed.  Queued pairs wait in a heap keyed
+by (ordering key of the lcm, i, j), which is the normal strategy (least lcm
+under the ordering, ties to the least index pair); each pair's lcm and key
+are computed once, when the pair is formed.  Pairs are skipped by the
+coprime-leading-monomial criterion and the chain criterion.  Each element
+is made monic as it enters the basis, together with its cofactor row, so
+neither S-polynomials nor division divide by a leading coefficient.  The
+basis buchberger returns is reduced (minimal, inter-reduced, monic, sorted
+by ascending leading monomial), hence canonical for the ideal and ordering.
+Inter-reduction takes one pass: the leading monomials of a minimal basis are
+pairwise indivisible and reducing a tail never changes them, so a tail
+reduced once stays reduced.
 """
 
 from __future__ import annotations
@@ -28,30 +29,6 @@ from .errors import InternalInconsistencyError
 from .monomials import Monomial
 from .orderings import GrevLex, MonomialOrdering
 from .polynomials import Polynomial, leading_term
-
-
-class GroebnerBasis:
-    def __init__(
-        self,
-        field,
-        ordering: MonomialOrdering,
-        polys: list[Polynomial],
-        reps: Optional[list[list[Polynomial]]] = None,
-    ):
-        self.field = field
-        self.ordering = ordering
-        self.polys = polys
-        self.reps = reps  # reps[i][k]: cofactor of gens[k] in polys[i]
-        self._leads = [leading_term(g, ordering)[0] for g in polys]
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def leading_monomials(self) -> list[Monomial]:
-        return list(self._leads)
-
-    def is_unit_ideal(self) -> bool:
-        return any(lm.is_one() for lm in self._leads)
 
 
 def _rep_minus(rep, quots, reps) -> list[Polynomial]:
@@ -106,20 +83,20 @@ def _divide(
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return _remainder(p, gb.polys, gb._leads, gb.ordering, gb.field)
+    return _remainder(p, gb.polys, gb.leads, gb.ordering, gb.field)
 
 
 def normal_form_with_quotients(
     p: Polynomial, gb: GroebnerBasis
 ) -> tuple[Polynomial, list[Polynomial]]:
-    return _divide(p, gb.polys, gb._leads, gb.ordering, gb.field)
+    return _divide(p, gb.polys, gb.leads, gb.ordering, gb.field)
 
 
-class IncrementalBasis:
-    """A Groebner basis under construction.  After complete, polys is a
-    Groebner basis (not reduced) of the ideal of everything appended.  With
-    track, reps[i] is combined from the rows given to append exactly as
-    polys[i] is combined from the appended generators."""
+class GroebnerBasis:
+    """A Groebner basis of the ideal of everything appended, once complete
+    has run; leads[i] is the leading monomial of polys[i].  With track,
+    reps[i] is combined from the rows given to append exactly as polys[i] is
+    combined from the appended generators."""
 
     def __init__(self, ordering: MonomialOrdering, field, track: bool = False):
         self.ordering = ordering
@@ -199,6 +176,7 @@ class IncrementalBasis:
         return False
 
     def is_full(self) -> bool:
+        """True when the ideal is the whole ring."""
         return any(lm.is_one() for lm in self.leads)
 
 
@@ -209,17 +187,19 @@ def buchberger(
     track: bool = False,
 ) -> GroebnerBasis:
     gens = list(gens)
-    basis = IncrementalBasis(ordering, field, track)
+    basis = GroebnerBasis(ordering, field, track)
     for k, g in enumerate(gens):
         if g:
             unit = [Polynomial(field) for _ in gens]
             unit[k] = Polynomial.constant(field, field.one())
             basis.append(g, unit)
     basis.complete()
-    return _reduce_basis(basis)
+    _reduce_basis(basis)
+    return basis
 
 
-def _reduce_basis(basis: IncrementalBasis) -> GroebnerBasis:
+def _reduce_basis(basis: GroebnerBasis) -> None:
+    """Make a complete basis reduced, in place."""
     polys, leads, reps = basis.polys, basis.leads, basis.reps
     ordering, field = basis.ordering, basis.field
     # Minimal: drop any element whose leading monomial another one divides.
@@ -241,10 +221,10 @@ def _reduce_basis(basis: IncrementalBasis) -> GroebnerBasis:
         kept_reps[i] = _rep_minus(kept_reps[i], quots, kept_reps[:i] + kept_reps[i + 1 :])
 
     final = sorted(range(len(polys)), key=lambda k: ordering.key(leads[k]))
-    polys = [polys[k] for k in final]
+    basis.polys = [polys[k] for k in final]
+    basis.leads = [leads[k] for k in final]
     if reps is not None:
-        kept_reps = [kept_reps[k] for k in final]
-    return GroebnerBasis(field, ordering, polys, kept_reps)
+        basis.reps = [kept_reps[k] for k in final]
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:
@@ -299,9 +279,9 @@ def staircase_dimension_from_gb(gb: GroebnerBasis, nvars: int) -> int:
     leading monomial involves only variables from S; -1 for the unit ideal.
     Exhaustive over subsets, intended for small nvars.
     """
-    if gb.is_unit_ideal():
+    if gb.is_full():
         return -1
-    supports = [set(lm.indices()) for lm in gb.leading_monomials()]
+    supports = [set(lm.indices()) for lm in gb.leads]
     for size in range(nvars, -1, -1):
         for subset in combinations(range(1, nvars + 1), size):
             s = set(subset)

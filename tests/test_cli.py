@@ -147,11 +147,26 @@ class TestCl:
         assert lines[1].startswith("dependent: f =")
 
     def test_polynomial_ring_has_no_span_solver(self, capsys):
-        code, out, err = run(capsys, "cl", "--ring", "Poly(QQ; x)", "--elems", "x",
+        code, out, err = run(capsys, "cl", "--ring", "Poly(ZZ; x)", "--elems", "x",
                              "--maxexp", "2")
         assert code == 2
         assert out == ""
-        assert err == "error: no span solver over Poly(QQ; x)\n"
+        assert err == ("error: unsupported (coefficient ring, algebra) pair: "
+                       "(Poly(ZZ; x), Poly(ZZ; x))\n")
+
+    def test_polynomial_ring_over_a_field(self, capsys):
+        # dim Q[x] = 1: no exponent works for one element, and 1 = (x + 1) - x.
+        code, out, _ = run(capsys, "cl", "--ring", "Poly(QQ; x)", "--elems", "x",
+                           "--maxexp", "2")
+        assert code == 1
+        assert out.strip() == "no exponent vector up to 2 worked"
+        code, out, _ = run(capsys, "cl", "--ring", "Poly(QQ; x)", "--elems", "x,x + 1",
+                           "--maxexp", "2", "--submonic")
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "membership holds with exponents (0,0) and coefficients (-1, 1)",
+            "dependent: f = x1 - x2 + 1",
+        ]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "cl", "--ring", "ZZ", "--elems", "12,18",

@@ -75,9 +75,20 @@ class TestSearch:
             cl_search(ZZ, (2,), -1)
 
     def test_unsupported_ring(self):
-        ring = parse_ring_text("Poly(QQ; x)")
+        ring = parse_ring_text("Poly(ZZ; x)")
         with pytest.raises(UnsupportedConfigError):
             cl_search(ring, (parse_elem("x", ring),), 2)
+
+    def test_polynomial_ring_over_a_field(self):
+        # A PolyRing is its own quotient, so it takes the Groebner route.
+        ring = parse_ring_text("Poly(QQ; x)")
+        x = parse_elem("x", ring)
+        assert cl_search(ring, (x,), 3) == NotFoundUpTo(3)
+        cert = cl_search(ring, (x, x + ring.one()), 2)
+        assert cert.exponents == (0, 0)
+        assert cert.coeffs == (-ring.one(), ring.one())
+        sub = cl_to_submonic(cert)
+        assert sub.verified and sub.trailing == Monomial()
 
 
 class TestCertificate:

@@ -22,7 +22,7 @@ from trdeg.dependence import (
     verify_certificate,
 )
 from trdeg.errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from trdeg.groebner import IncrementalBasis, buchberger, ideal_cofactors
+from trdeg.groebner import GroebnerBasis, buchberger, ideal_cofactors
 from trdeg.harness import sample_element
 from trdeg.linalg import solve_in_span, span_structure
 from trdeg.monomials import ONE, Monomial, monomials_up_to_degree
@@ -134,9 +134,10 @@ class TestSearchIntegers:
                 t_high = high.certificate.trailing
                 assert Lex().compare(t_high, t_low) <= 0
 
-    def test_cap_is_a_distinct_outcome(self):
+    def test_cap_is_a_distinct_outcome(self, monkeypatch):
+        monkeypatch.setenv("TRDEG_MONOMIAL_CAP", "5")
         with pytest.raises(ResourceCapExceeded):
-            search_submonic_relation(ZZ_CFG, (2, 3), Lex(), 10, cap=5)
+            search_submonic_relation(ZZ_CFG, (2, 3), Lex(), 10)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -664,19 +665,28 @@ class TestIdealSweep:
         elems = (x, x + ring.one())
         mons = GrevLex().sort(monomials_up_to_degree(2, 2))
         values = _monomial_values(ring, elems, mons)
-        assert buchberger(values[3:], GrevLex(), QQ).is_unit_ideal()
+        assert buchberger(values[3:], GrevLex(), QQ).is_full()
         sizes = []
-        original = IncrementalBasis.add
+        original = GroebnerBasis.add
 
         def recording(basis, p):
             sizes.append(len(basis.polys))
             return original(basis, p)
 
-        monkeypatch.setattr(IncrementalBasis, "add", recording)
+        monkeypatch.setattr(GroebnerBasis, "add", recording)
         verdict = search_submonic_relation(cfg, elems, GrevLex(), 2)
         assert verdict.certificate.trailing == ONE
         assert len(sizes) == 3  # the three greatest candidates only
         assert _per_candidate_ideal_search(cfg, elems, GrevLex(), 2)[1] == verdict.certificate.poly
+
+    def test_failed_cofactor_search_still_raises(self, monkeypatch):
+        ring = parse_ring_text("Poly(QQ; x,y,z)")
+        cfg = AlgebraConfig(ring, ring)
+        elems = tuple(parse_elem(t, ring) for t in ("x*y", "x", "y"))
+        assert isinstance(search_submonic_relation(cfg, elems, GrevLex(), 2), Dependent)
+        monkeypatch.setattr(dependence, "ideal_cofactors", lambda target, gens, ring: None)
+        with pytest.raises(InternalInconsistencyError, match="disagreed"):
+            search_submonic_relation(cfg, elems, GrevLex(), 2)
 
 
 class TestIdealSearchCost:
@@ -919,10 +929,11 @@ class TestDependenceMatrix:
 
     def test_tuple_cap(self):
         with pytest.raises(ResourceCapExceeded):
-            dependence_matrix(ZZ_CFG, range(200), 3, Lex(), 2, max_tuples=100)
+            dependence_matrix(ZZ_CFG, range(200), 3, Lex(), 2)
 
-    def test_monomial_cap_entries(self):
-        report = dependence_matrix(ZZ_CFG, [2, 4, 6], 2, Lex(), 4, cap=5)
+    def test_monomial_cap_entries(self, monkeypatch):
+        monkeypatch.setenv("TRDEG_MONOMIAL_CAP", "5")
+        report = dependence_matrix(ZZ_CFG, [2, 4, 6], 2, Lex(), 4)
         assert report.counts == {"dependent": 0, "no_relation": 0,
                                  "resource_exceeded": 3}
         assert all(e.certificate is None for e in report.entries)

@@ -67,6 +67,27 @@ def test_private_functions_are_used():
     assert unused == []
 
 
+def test_module_imports_are_used():
+    # A module-level import that its module never names is left behind by a
+    # deletion.  The package __init__ only re-exports, and __future__ imports
+    # are directives.
+    unused = []
+    for path in sorted(Path(trdeg.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in named:
+                        unused.append(f"{path.name}:{node.lineno}: {bound}")
+    assert unused == []
+
+
 def test_all_lists_exactly_the_imported_names():
     # Every name the package imports is public, and nothing else is.
     tree = ast.parse(Path(trdeg.__file__).read_text())
