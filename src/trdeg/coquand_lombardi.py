@@ -104,6 +104,8 @@ def cl_search(
         raise ValueError("need at least one element")
     if maxexp < 0:
         raise ValueError("exponent bound must be nonnegative")
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValueError(f"cap must be a positive int, not {cap!r}")
     n = len(elems)
     count = (maxexp + 1) ** n
     limit = cap if cap is not None else 200000

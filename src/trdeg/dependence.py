@@ -17,15 +17,17 @@ seeded with the algebra's relations (a value is a member exactly when its
 normal form is zero) and takes the hit's cofactors from ideal_cofactors.
 
 The span route works on one vector per candidate: the coefficient vector of
-its value over the monomials that occur in some value, in
-Monomial.natural_key order (a scalar algebra's value is its own 1-vector).
-On a PolyRing over ZZ, QQ or GF(p) the values are not built as
-Polynomials: Kronecker substitution packs each element into one int, each
-value is one int product, and the vectors are read off slots wide enough for
-the proven coefficient bound (see _span_vectors).  The packing box can be
-far larger than the values (many variables, few terms); such inputs, quotient
-algebras and the ideal route multiply Polynomials.  check_certificate always
-evaluates through eval_poly.
+its value over the monomials that occur (when packed: can occur) in some
+value, in Monomial.natural_key order (a scalar algebra's value is its own
+1-vector).  On a PolyRing over ZZ, QQ or GF(p) the values are not built as
+Polynomials: Kronecker substitution packs each element into one int, and a
+candidate's row is read off a product of entries of the elements' power
+table, in slots wide enough for the proven coefficient bound (see
+_span_vectors).  Rows are built when the sweep or the solve first reads
+them, greatest first, over the columns of the elements' Minkowski support.
+The packing box can be far larger than the values (many variables, few
+terms); such inputs, quotient algebras and the ideal route multiply
+Polynomials.  check_certificate always evaluates through eval_poly.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
-from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from itertools import accumulate, combinations, product, repeat
+from operator import getitem, mul
+from typing import Callable, Optional, Union
 
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import GroebnerBasis, ideal_cofactors
@@ -247,7 +250,7 @@ def _coefficient_basis(values: Sequence[Polynomial]) -> list[Monomial]:
 
 def _span_vectors(
     mons: Sequence[Monomial], elems: Sequence, config: AlgebraConfig
-) -> list[list]:
+) -> Sequence[list]:
     """The vector of each candidate's value at the elements, in the order of mons.
 
     A scalar algebra's value is its own 1-vector.  A polynomial or quotient
@@ -256,10 +259,12 @@ def _span_vectors(
     column order that fixes the Hermite and echelon forms.  A QuotRing
     multiplies Polynomials.  A PolyRing (over ZZ, QQ or GF(p), the ones
     AlgebraConfig admits here) packs unless its box is too sparse, see
-    _packed_vectors, into slots of B = bitlen(N^maxdeg) + 2 bits, N the
-    largest l1 norm of the elements' integer lifts a'_i: |coefficient of
-    m(a')| <= prod ||a'_i||_1^e_i <= N^maxdeg, since ||fg||_1 <= ||f||_1
-    ||g||_1.  A PolyRing that does not pack multiplies Polynomials too.
+    _packed_vectors: its rows are built on demand, over the monomials that
+    can occur in some value (a superset whose extra columns are zero in
+    every row), in slots of B = bitlen(N^maxdeg) + 2 bits, N the largest l1
+    norm of the elements' integer lifts a'_i: |coefficient of m(a')| <=
+    prod ||a'_i||_1^e_i <= N^maxdeg, since ||fg||_1 <= ||f||_1 ||g||_1.  A
+    PolyRing that does not pack multiplies Polynomials too.
     """
     algebra = config.algebra
     if isinstance(algebra, PolyRing):
@@ -273,6 +278,25 @@ def _span_vectors(
     basis = _coefficient_basis(poly_vals)
     zero = algebra.poly_ring.base.zero()
     return [[v.terms.get(b, zero) for b in basis] for v in poly_vals]
+
+
+class _LazyRows(Sequence):
+    """rows[k] is build(keys[k]), built the first time it is read and kept;
+    a slice is the list of its rows."""
+
+    def __init__(self, keys: Sequence, build: Callable[..., list]):
+        self._keys, self._build = keys, build
+        self._rows: list = [None] * len(keys)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        if self._rows[k] is None:
+            self._rows[k] = self._build(self._keys[k])
+        return self._rows[k]
 
 
 def _multisets(size: int, count: int) -> int:
@@ -290,23 +314,28 @@ def _box_cells(radix: Sequence[int], top: int) -> list[Monomial]:
 
 def _packed_vectors(
     mons: Sequence[Monomial], elems: Sequence, base: Ring
-) -> Optional[list[list]]:
+) -> Optional[Sequence[list]]:
     """_span_vectors on base[x] for base ZZ, QQ or GF(p), by Kronecker
-    substitution; None when the box is too large for the values to pay.
+    substitution, as rows built on demand; None when the box is too large
+    for the values to pay.
 
     Each element a_i becomes its integer lift a'_i = d_i * a_i (d_i clears
     the denominators; over GF(p) the coefficients are lifted to [0, p)),
     packed as one int with x^v at bit B * idx(v), where idx is mixed-radix
     with radix maxdeg * (largest x_j-degree of the elements) + 1 for x_j.
-    The value of m is one int product, formed like _evaluate_monomials.  B
-    is rounded up to whole bytes and the signed slots are decoded with a
-    bias of 2^(B-1), only at the cells inside the degree simplex (total
-    degree <= maxdeg * the largest element degree); a slot is then divided
-    by prod d_i^e_i over QQ and reduced mod p over GF(p).  Every product
+    The row of m is read off prod_i pw[i][m_i] from the power table
+    pw[i][e] = a'_i^e, e <= maxdeg.  B is rounded up to whole bytes and the
+    signed slots are decoded with a bias of 2^(B-1), only at the columns;
+    a slot is then reduced mod p over GF(p) and divided by prod d_i^e_i
+    over QQ.  The columns are the cells of the Minkowski support, the
+    support of (1 + s_1 + ... + s_n)^maxdeg with s_i the packed 0/1
+    indicator of supp(a'_i) (its slots fit (1 + sum |supp a'_i|)^maxdeg):
+    every value's support lies in it, but a coefficient that cancels, or
+    vanishes mod p, can leave a column zero in every row.  Every product
     spans the whole box, which can hold about nvars! times as many slots as
-    the simplex, or far more than a product of few terms has; so a box of
-    more than _BOX_PER_TERM slots per term that the largest value can have
-    is not packed.
+    the degree simplex, or far more than a product of few terms has; so a
+    box of more than _BOX_PER_TERM slots per term that the largest value
+    can have is not packed.
     """
     maxdeg = max(m.degree for m in mons)
     modulus = base.modulus if isinstance(base, ModularRing) else None
@@ -330,32 +359,35 @@ def _packed_vectors(
     if slots > _BOX_PER_TERM * min(terms, math.comb(nvars + top, nvars)):
         return None
     weights = [math.prod(radix[:j]) for j in range(nvars)]
+
+    def pack(poly: dict, width: int) -> int:
+        return sum(c << 8 * width * sum(map(mul, m.vector, weights)) for m, c in poly.items())
+
+    count = 1 + sum(map(len, lifts))
+    ind = -(-(count**maxdeg).bit_length() // 8)
+    support = (1 + sum(pack(dict.fromkeys(lift, 1), ind) for lift in lifts)) ** maxdeg
+    marks = support.to_bytes(ind * slots, "little")
     norm = max(1, max(sum(map(abs, lift.values())) for lift in lifts))
     width = -(-((norm**maxdeg).bit_length() + 2) // 8)  # bitlen(N^maxdeg) + 2 bits, in bytes
-    bits = 8 * width
-    packed_elems = [
-        sum(c << bits * sum(map(mul, m.vector, weights)) for m, c in lift.items())
-        for lift in lifts
-    ]
-    packed = _evaluate_monomials(mons, packed_elems, ZZ)
+    offsets = []
+    for c in _box_cells(radix, top):
+        k = sum(map(mul, c.vector, weights))
+        if any(marks[ind * k : ind * (k + 1)]):
+            offsets.append(width * k)
+    powers = [list(accumulate(repeat(pack(lift, width), maxdeg), mul, initial=1)) for lift in lifts]
+    half = 1 << (8 * width - 1)
+    bias = half * (((1 << 8 * width * slots) - 1) // ((1 << 8 * width) - 1))
 
-    cells = _box_cells(radix, top)
-    offsets = [width * sum(map(mul, c.vector, weights)) for c in cells]
-    half = 1 << (bits - 1)
-    bias = half * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
-    rows = []
-    for m in mons:
-        buf = (packed[m] + bias).to_bytes(width * slots, "little")
-        row = [int.from_bytes(buf[k : k + width], "little") - half for k in offsets]
-        rows.append([c % modulus for c in row] if modulus else row)
-
-    cols = [k for k in range(len(cells)) if any(row[k] for row in rows)]
-    vecs = []
-    for m, row in zip(mons, rows):
+    def row(m: Monomial) -> list:
+        value = math.prod(map(getitem, powers, m.vector))
+        buf = (value + bias).to_bytes(width * slots, "little")
+        vec = [int.from_bytes(buf[k : k + width], "little") - half for k in offsets]
+        if modulus:
+            vec = [c % modulus for c in vec]
         d = math.prod(map(pow, dens, m.vector))
-        vec = [row[k] for k in cols]
-        vecs.append(vec if d == 1 else [base.div(c, d) for c in vec])
-    return vecs
+        return vec if d == 1 else [base.div(c, d) for c in vec]
+
+    return _LazyRows(mons, row)
 
 
 def search_submonic_relation(
@@ -395,7 +427,8 @@ def search_submonic_relation(
             structure.add(rel)
     else:
         items = _span_vectors(mons, elems, config)
-        structure = span_structure(scalars, len(items[0]))
+        # The greatest candidate's row: the sweep reads it first anyway.
+        structure = span_structure(scalars, len(items[-1]))
     hit = _least_member(structure, items)
     if hit is None:
         return NoRelationUpTo(maxdeg)
@@ -403,7 +436,7 @@ def search_submonic_relation(
     if scalars is None:
         coeffs = ideal_cofactors(items[hit], items[hit + 1 :], algebra)
     else:
-        coeffs = _solve_on_prefixes(items[hit], items[hit + 1 :], scalars)
+        coeffs = _solve_on_prefixes(items, hit, scalars)
     if coeffs is None:
         raise InternalInconsistencyError("the sweep disagreed with the solver")
     r = config.coeff_ring
@@ -433,18 +466,19 @@ def _least_member(structure, items: Sequence) -> Optional[int]:
     return hit
 
 
-def _solve_on_prefixes(target: list, gens: list[list], scalars: Ring) -> Optional[list]:
-    """solve_in_span for target over prefixes of gens, or None."""
+def _solve_on_prefixes(items: Sequence[list], hit: int, scalars: Ring) -> Optional[list]:
+    """solve_in_span for items[hit] over prefixes of items[hit + 1:], or None."""
     # Solve on 1, 2, 4, ... of the greater values; the caller's zip skips the
     # monomials past the prefix (coefficient 0).  Over ZZ any spanning prefix
     # gives a relation, and a short one has far smaller coefficients.  Over a
     # field every spanning prefix gives the same coefficients as all of them.
-    # Z/n solves on all.
-    size = len(gens) if not scalars.is_field and scalars != ZZ else 1
-    coeffs = solve_in_span(target, gens[:size], scalars)
-    while coeffs is None and size < len(gens):
-        size = min(2 * size, len(gens))
-        coeffs = solve_in_span(target, gens[:size], scalars)
+    # Z/n solves on all.  Only the rows of the prefixes are read.
+    total = len(items) - hit - 1
+    size = total if not scalars.is_field and scalars != ZZ else 1
+    coeffs = solve_in_span(items[hit], items[hit + 1 : hit + 1 + size], scalars)
+    while coeffs is None and size < total:
+        size = min(2 * size, total)
+        coeffs = solve_in_span(items[hit], items[hit + 1 : hit + 1 + size], scalars)
     return coeffs
 
 

@@ -167,7 +167,10 @@ class GroebnerBasis:
 
     def add(self, p: Polynomial) -> bool:
         """True when p lies in the ideal of the complete basis; otherwise its
-        normal form joins and the basis is completed again.  Untracked only."""
+        normal form joins and the basis is completed again.  Untracked only:
+        a tracked basis is refused before anything changes."""
+        if self.reps is not None:
+            raise ValueError("add needs an untracked basis: it has no cofactor row for p")
         r = _remainder(p, self.polys, self.leads, self.ordering, self.field)
         if not r:
             return True

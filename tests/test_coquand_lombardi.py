@@ -68,6 +68,11 @@ class TestSearch:
         with pytest.raises(ResourceCapExceeded):
             cl_search(ZZ, (2, 3, 5), 100, cap=1000)
 
+    @pytest.mark.parametrize("cap", [-5, 0, 2.5, True, "10"])
+    def test_cap_must_be_a_positive_int(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            cl_search(ZZ, (2,), 1, cap=cap)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cl_search(ZZ, (), 3)

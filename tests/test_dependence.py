@@ -367,9 +367,21 @@ def _random_element(rng, base, nvars):
     return Polynomial(base, terms)
 
 
+def _minkowski_columns(elems, maxdeg):
+    """The monomials of (1 + supp(a_1) + ... + supp(a_n))^maxdeg, in
+    Monomial.natural_key order: the products of at most maxdeg support
+    monomials, which hold the support of every candidate's value."""
+    step = {ONE} | {b for a in elems for b in a.terms}
+    cols = {ONE}
+    for _ in range(maxdeg):
+        cols = {c * b for c in cols for b in step}
+    return sorted(cols, key=Monomial.natural_key)
+
+
 class TestPackedSpanVectors:
-    """The span pass packs Poly(ZZ / QQ / GF(p)) values into ints; its vectors
-    equal the coefficient vectors of the Polynomial products."""
+    """The span pass packs Poly(ZZ / QQ / GF(p)) values into ints; its rows,
+    over the Minkowski-support columns, equal the coefficient vectors of the
+    Polynomial products."""
 
     BASES = {"ZZ": ZZ, "QQ": QQ, "GF(2)": PrimeField(2), "GF(7)": PrimeField(7)}
 
@@ -385,13 +397,76 @@ class TestPackedSpanVectors:
             mons = GrevLex().sort(monomials_up_to_degree(arity, maxdeg))
             want = _span_vectors(cfg, elems, mons)
             got = dependence._packed_vectors(mons, elems, base)
-            if got is not None:
-                packed += 1
+            assert list(dependence._span_vectors(mons, elems, cfg)) == list(got or want)
+            if got is None:
+                continue
+            packed += 1
+            got = list(got)
+            values = _monomial_values(cfg.algebra, elems, mons)
+            exact = sorted({b for v in values for b in v.terms}, key=Monomial.natural_key)
+            cols = _minkowski_columns(elems, maxdeg)
+            # The columns are the Minkowski support, which holds every exact column.
+            assert all(len(row) == len(cols) for row in got)
+            assert set(exact) <= set(cols)
+            # On the exact columns the rows are the Polynomial products, types too.
+            on_exact = [[row[cols.index(b)] for b in exact] for row in got]
+            assert on_exact == want
+            assert [list(map(type, v)) for v in on_exact] == [list(map(type, v)) for v in want]
+            # Every extra column is zero in every row.
+            extra = [k for k, b in enumerate(cols) if b not in set(exact)]
+            assert not any(row[k] for row in got for k in extra)
+            if cols == exact:
                 assert got == want
-                assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want]
-            assert dependence._span_vectors(mons, elems, cfg) == want
         # Sparse three-variable inputs may decline to pack; most inputs pack.
         assert packed >= 60
+
+    @pytest.mark.parametrize("base", ["ZZ", "QQ", "GF(7)"])
+    def test_rows_are_built_on_demand(self, monkeypatch, base):
+        # The values of the six greatest of the 21 candidates, x^k (x + 1)^(5 - k),
+        # are unitriangular (as in TestSpanSweep), so the sweep stops after
+        # their rows and the hit is 1; the solve reads the row of 1 and
+        # those of x2 and x1: 9 rows are built, each once.
+        ring = parse_ring_text(f"Poly({base}; x)")
+        cfg = AlgebraConfig(ring.base, ring)
+        elems = tuple(parse_elem(t, ring) for t in ("x", "x + 1"))
+        built = []
+
+        class Counting(dependence._LazyRows):
+            def __init__(self, keys, build):
+                super().__init__(keys, lambda mon: built.append(mon) or build(mon))
+
+        monkeypatch.setattr(dependence, "_LazyRows", Counting)
+        cert = search_submonic_relation(cfg, elems, GrevLex(), 5).certificate
+        mons = GrevLex().sort(monomials_up_to_degree(2, 5))
+        assert cert.trailing == ONE
+        assert built == mons[:-7:-1] + mons[:3]
+        monkeypatch.setattr(dependence, "_packed_vectors", lambda *args: None)
+        plain = search_submonic_relation(cfg, elems, GrevLex(), 5).certificate
+        assert cert.to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("texts", [("x^2 + x",), ("x^2 + x", "1")])
+    def test_columns_wider_than_the_values(self, monkeypatch, texts):
+        # Over GF(2), (x^2 + x)^2 = x^4 + x^2: the Minkowski columns are
+        # 1, x, ..., x^4, but x^3 is zero in every row, so the span is never
+        # full; the verdict and certificate are the Polynomial path's.
+        ring = parse_ring_text("Poly(GF(2); x)")
+        cfg = AlgebraConfig(ring.base, ring)
+        elems = tuple(parse_elem(t, ring) for t in texts)
+        mons = GrevLex().sort(monomials_up_to_degree(len(elems), 2))
+        rows = list(dependence._packed_vectors(mons, elems, ring.base))
+        assert _minkowski_columns(elems, 2) == [m((1, e)) for e in range(5)]
+        assert [[row[k] for k in (0, 1, 2, 4)] for row in rows] == _span_vectors(cfg, elems, mons)
+        assert not any(row[3] for row in rows)
+        if len(elems) == 1:
+            assert rows == [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 1]]
+        packed = search_submonic_relation(cfg, elems, GrevLex(), 2)
+        monkeypatch.setattr(dependence, "_packed_vectors", lambda *args: None)
+        plain = search_submonic_relation(cfg, elems, GrevLex(), 2)
+        assert type(packed) is type(plain)
+        if isinstance(plain, Dependent):
+            assert packed.certificate.to_json() == plain.certificate.to_json()
+        else:
+            assert packed == plain == NoRelationUpTo(2)
 
     @pytest.mark.parametrize(
         "coeff, elem, other",
@@ -414,7 +489,7 @@ class TestPackedSpanVectors:
         cfg = AlgebraConfig(base, PolyRing(base, ("x",)))
         elems = (parse_elem(elem, cfg.algebra), parse_elem(other, cfg.algebra))
         mons = GrevLex().sort(monomials_up_to_degree(2, maxdeg))
-        assert dependence._packed_vectors(mons, elems, base) == _span_vectors(cfg, elems, mons)
+        assert list(dependence._packed_vectors(mons, elems, base)) == _span_vectors(cfg, elems, mons)
 
     def test_five_variables_decode_only_the_simplex(self, monkeypatch):
         # The values have total degree <= 2, so of the 3^5 slots of the box
@@ -430,7 +505,7 @@ class TestPackedSpanVectors:
             return decoded[-1][1]
 
         monkeypatch.setattr(dependence, "_box_cells", recording)
-        assert dependence._packed_vectors(mons, elems, ZZ) == _span_vectors(cfg, elems, mons)
+        assert list(dependence._packed_vectors(mons, elems, ZZ)) == _span_vectors(cfg, elems, mons)
         [(slots, cells)] = decoded
         assert (slots, len(cells)) == (3**5, math.comb(7, 5))
         assert cells == sorted(monomials_up_to_degree(5, 2), key=Monomial.natural_key)
@@ -449,7 +524,7 @@ class TestPackedSpanVectors:
         mons = GrevLex().sort(monomials_up_to_degree(2, 6))
         assert dependence._packed_vectors(mons, sparse, ZZ) is None
         cfg = AlgebraConfig(ZZ, three)
-        assert dependence._span_vectors(mons, sparse, cfg) == _span_vectors(cfg, sparse, mons)
+        assert list(dependence._span_vectors(mons, sparse, cfg)) == _span_vectors(cfg, sparse, mons)
 
     def test_variables_beyond_the_ring(self):
         # A library caller's polynomials may use variables the ring does not name.
@@ -460,7 +535,7 @@ class TestPackedSpanVectors:
             Polynomial(ZZ, {m((1, 1), (2, 1)): 3, m((3, 1)): 1}),
         )
         mons = GrevLex().sort(monomials_up_to_degree(2, 2))
-        assert dependence._packed_vectors(mons, elems, ZZ) == _span_vectors(cfg, elems, mons)
+        assert list(dependence._packed_vectors(mons, elems, ZZ)) == _span_vectors(cfg, elems, mons)
 
     def test_certificate_check_does_not_pack(self, monkeypatch):
         cfg = AlgebraConfig(QQ, parse_ring_text("Poly(QQ; x)"))

@@ -3,6 +3,8 @@
 import hashlib
 import random
 
+import pytest
+
 from propcheck import check_spoly_reduction, random_monomial
 from trdeg.groebner import (
     buchberger,
@@ -76,6 +78,17 @@ class TestBuchberger:
 
     def test_spoly_invariants_random(self):
         assert check_spoly_reduction(random.Random(7), 40) == 40
+
+    def test_add_refuses_a_tracked_basis(self):
+        ring = parse_ring_text("Poly(QQ; x,y)")
+        gb = buchberger(polys(ring, "x*y - 1"), GrevLex(), QQ, track=True)
+        before = (list(gb.polys), list(gb.leads), [list(rep) for rep in gb.reps])
+        with pytest.raises(ValueError, match="untracked"):
+            gb.add(parse_elem("x^2 + y", ring))
+        assert (gb.polys, gb.leads, gb.reps) == before
+        untracked = buchberger(polys(ring, "x*y - 1"), GrevLex(), QQ)
+        assert untracked.add(parse_elem("x^2*y - x", ring))
+        assert not untracked.add(parse_elem("x^2 + y", ring))
 
 
 class TestNormalForm:
