@@ -37,7 +37,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, product, repeat
 from operator import getitem, mul
 from typing import Callable, Optional, Union
@@ -55,6 +55,8 @@ from .rings import ZZ, ModularRing, PolyRing, QuotRing, Ring
 DEFAULT_MONOMIAL_CAP = 20000
 # dependence_matrix refuses a pool with more arity-subsets than this.
 MAX_TUPLES = 5000
+# _candidates keeps the candidate lists of this many (n, maxdeg, ordering).
+_CANDIDATE_LISTS = 16
 # _packed_vectors packs only when its box has at most this many slots per
 # term that the largest value can have (see its docstring).
 _BOX_PER_TERM = 16
@@ -79,6 +81,7 @@ class AlgebraConfig:
       (c) R = ZZ, A = Poly(ZZ)                ZZ: integer span on coefficients
           R = ZZ, A = Zmod(n)                 Zmod(n): residue span
       (d) R = A = Poly(field) or R = A = Quot None: ideal membership with cofactors
+          (not the zero ring, a Quot whose relations generate 1)
       (e) R = field k, A = Poly(k) or Quot    k: k-linear span on coefficients
       (f) R = A = field k                     k: 1-dimensional k-span
     Anything else raises UnsupportedConfigError at construction.
@@ -97,6 +100,11 @@ class AlgebraConfig:
         if isinstance(a, (PolyRing, QuotRing)):
             base = a.poly_ring.base
             if r == a and base.is_field:
+                if isinstance(a, QuotRing) and a.groebner_basis.is_full():
+                    raise UnsupportedConfigError(
+                        f"{a} is the zero ring: its relations generate 1, so 1 = 0 "
+                        "and no relation has trailing coefficient 1"
+                    )
                 return None
             if r == base and (r == ZZ or r.is_field):
                 return r
@@ -417,7 +425,7 @@ def search_submonic_relation(
             f"raise TRDEG_MONOMIAL_CAP or lower the degree bound"
         )
 
-    mons = ordering.sort(monomials_up_to_degree(n, maxdeg))
+    mons = _candidates(n, maxdeg, ordering)
     algebra, scalars = config.algebra, config.scalars
     if scalars is None:
         values = _evaluate_monomials(mons, elems, algebra)
@@ -450,6 +458,13 @@ def search_submonic_relation(
         degree_bound=maxdeg,
     )
     return Dependent(mark_verified(cert, "search produced an invalid certificate"))
+
+
+@lru_cache(maxsize=_CANDIDATE_LISTS)
+def _candidates(n: int, maxdeg: int, ordering: MonomialOrdering) -> tuple[Monomial, ...]:
+    """The monomials in x1..xn of total degree <= maxdeg, least first under
+    ordering; every job of an experiment or a matrix shares one list."""
+    return tuple(ordering.sort(monomials_up_to_degree(n, maxdeg)))
 
 
 def _least_member(structure, items: Sequence) -> Optional[int]:

@@ -8,15 +8,31 @@ route of the dependence search adds one value at a time and completes after
 each, so only the new pairs are formed.  Queued pairs wait in a heap keyed
 by (ordering key of the lcm, i, j), which is the normal strategy (least lcm
 under the ordering, ties to the least index pair); each pair's lcm and key
-are computed once, when the pair is formed.  Pairs are skipped by the
-coprime-leading-monomial criterion and the chain criterion.  Each element
-is made monic as it enters the basis, together with its cofactor row, so
-neither S-polynomials nor division divide by a leading coefficient.  The
-basis buchberger returns is reduced (minimal, inter-reduced, monic, sorted
-by ascending leading monomial), hence canonical for the ideal and ordering.
-Inter-reduction takes one pass: the leading monomials of a minimal basis are
-pairwise indivisible and reducing a tail never changes them, so a tail
-reduced once stays reduced.
+are computed once, when the pair is formed.
+
+The two kinds of basis differ in their pair rule.  An untracked basis (the
+sweep's, and buchberger(track=False)) keeps the Gebauer-Moeller update
+(Gebauer & Moeller 1988; UPDATE in Becker & Weispfenning 1993): when h joins,
+its pairs are pruned before they are queued (criterion M drops a pair whose
+lcm another new pair's lcm properly divides, F keeps one pair per lcm, and
+an lcm class goes whole when one of its pairs has coprime leading
+monomials), B_k drops the queued pairs whose lcm lm(h) divides unless it is
+the lcm of either element with h, and the elements whose leading monomial
+lm(h) divides leave the active list.  Its S-polynomials, and add, divide by
+the active elements only.  A tracked basis (ideal_cofactors,
+reduce_with_cofactors) queues every pair and skips one when it is popped, by
+the coprime-leading-monomial criterion and the chain criterion, dividing by
+every element: its cofactor rows, and with them the certificates and the
+pinned cofactor outputs, are those of that rule, and the update would change
+them.
+
+Each element is made monic as it enters the basis, together with its
+cofactor row, so neither S-polynomials nor division divide by a leading
+coefficient.  The basis buchberger returns is reduced (minimal,
+inter-reduced, monic, sorted by ascending leading monomial), hence canonical
+for the ideal and ordering.  Inter-reduction takes one pass: the leading
+monomials of a minimal basis are pairwise indivisible and reducing a tail
+never changes them, so a tail reduced once stays reduced.
 """
 
 from __future__ import annotations
@@ -96,7 +112,14 @@ class GroebnerBasis:
     """A Groebner basis of the ideal of everything appended, once complete
     has run; leads[i] is the leading monomial of polys[i].  With track,
     reps[i] is combined from the rows given to append exactly as polys[i] is
-    combined from the appended generators."""
+    combined from the appended generators.
+
+    An untracked basis keeps the Gebauer-Moeller update: pairs are pruned
+    when they are formed, and only the active elements divide; polys and
+    leads still hold every element, since queued pairs may name a retired
+    one.  A tracked basis queues every pair and skips one when it is popped,
+    so its cofactors stay those of the plain pair loop (see the module
+    docstring)."""
 
     def __init__(self, ordering: MonomialOrdering, field, track: bool = False):
         self.ordering = ordering
@@ -104,10 +127,15 @@ class GroebnerBasis:
         self.polys: list[Polynomial] = []
         self.leads: list[Monomial] = []
         self.reps: Optional[list[list[Polynomial]]] = [] if track else None
-        # (ordering key of the lcm, i, j, lcm) of every untreated pair i < j;
-        # live holds their (i, j) for the chain criterion.
+        # (ordering key of the lcm, i, j, lcm) of every queued pair i < j.
         self._heap: list[tuple] = []
+        # Tracked: (i, j) of the queued pairs, for the chain criterion.
         self._live: set[tuple[int, int]] = set()
+        # Untracked: the indices of the active elements, those whose leading
+        # monomial no later leading monomial divides, and their polys and
+        # leads, the divisors of every division.
+        self._active: list[int] = []
+        self._divisors: tuple[list[Polynomial], list[Monomial]] = ([], [])
 
     def append(self, g: Polynomial, rep: Optional[list[Polynomial]] = None) -> None:
         """Add g != 0 and its cofactor row, both scaled so g is monic, and its pairs."""
@@ -120,13 +148,48 @@ class GroebnerBasis:
                 rep = [c.scale(inv) for c in rep]
         new = len(self.polys)
         self.polys.append(g)
-        if self.reps is not None:
-            self.reps.append(rep)
-        for k, other in enumerate(self.leads):
-            lcm = other.lcm(lm)
+        self.leads.append(lm)
+        if self.reps is None:
+            self._update(new, lm)
+            return
+        self.reps.append(rep)
+        for k in range(new):
+            lcm = self.leads[k].lcm(lm)
             heapq.heappush(self._heap, (self.ordering.key(lcm), k, new, lcm))
             self._live.add((k, new))
-        self.leads.append(lm)
+
+    def _update(self, new: int, lm: Monomial) -> None:
+        """The Gebauer-Moeller update for element new with leading monomial lm:
+        queue its pairs with the active elements that criteria M, F and the
+        product criterion leave, drop the queued pairs that B_k names, and
+        retire the active elements whose leading monomial lm divides."""
+        leads = self.leads
+        pairs = [(leads[k].lcm(lm), k) for k in self._active]
+        lcms = {lcm for lcm, _ in pairs}
+        # Product criterion: a class with coprime leading monomials goes whole.
+        coprime = {lcm for lcm, k in pairs if lcm == leads[k] * lm}
+        kept: dict[Monomial, int] = {}
+        for lcm, k in pairs:
+            if lcm in kept or lcm in coprime:
+                continue  # F keeps one pair per lcm; or the product criterion
+            if any(other.degree < lcm.degree and other.divides(lcm) for other in lcms):
+                continue  # M: another new pair's lcm properly divides this one
+            kept[lcm] = k
+        # B_k: lm divides the lcm of (i, j), and the lcm is neither that of
+        # (i, new) nor that of (j, new).
+        heap = [
+            e
+            for e in self._heap
+            if not lm.divides(e[3]) or e[3] == leads[e[1]].lcm(lm) or e[3] == leads[e[2]].lcm(lm)
+        ]
+        heap += [(self.ordering.key(lcm), k, new, lcm) for lcm, k in kept.items()]
+        heapq.heapify(heap)
+        self._heap = heap
+        self._set_active([k for k in self._active if not lm.divides(leads[k])] + [new])
+
+    def _set_active(self, active: list[int]) -> None:
+        self._active = active
+        self._divisors = ([self.polys[k] for k in active], [self.leads[k] for k in active])
 
     def complete(self) -> None:
         """Reduce the S-polynomial of every queued pair, appending nonzero
@@ -135,25 +198,26 @@ class GroebnerBasis:
         one = self.field.one()
         while self._heap:
             _, i, j, lcm = heapq.heappop(self._heap)
-            live.discard((i, j))
             lm_i, lm_j = leads[i], leads[j]
-            if lcm == lm_i * lm_j:
-                continue  # coprime leading monomials reduce to zero
-            if any(
-                k != i
-                and k != j
-                and leads[k].divides(lcm)
-                and (min(i, k), max(i, k)) not in live
-                and (min(j, k), max(j, k)) not in live
-                for k in range(len(polys))
-            ):
-                continue  # chain criterion
+            if reps is not None:
+                live.discard((i, j))
+                if lcm == lm_i * lm_j:
+                    continue  # coprime leading monomials reduce to zero
+                if any(
+                    k != i
+                    and k != j
+                    and leads[k].divides(lcm)
+                    and (min(i, k), max(i, k)) not in live
+                    and (min(j, k), max(j, k)) not in live
+                    for k in range(len(polys))
+                ):
+                    continue  # chain criterion
 
             mon_i = lcm.div(lm_i)
             mon_j = lcm.div(lm_j)
             s = polys[i].mul_term(mon_i, one) - polys[j].mul_term(mon_j, one)
             if reps is None:
-                r = _remainder(s, polys, leads, self.ordering, self.field)
+                r = _remainder(s, *self._divisors, self.ordering, self.field)
                 if r:
                     self.append(r)
                 continue
@@ -171,7 +235,7 @@ class GroebnerBasis:
         a tracked basis is refused before anything changes."""
         if self.reps is not None:
             raise ValueError("add needs an untracked basis: it has no cofactor row for p")
-        r = _remainder(p, self.polys, self.leads, self.ordering, self.field)
+        r = _remainder(p, *self._divisors, self.ordering, self.field)
         if not r:
             return True
         self.append(r)
@@ -228,6 +292,9 @@ def _reduce_basis(basis: GroebnerBasis) -> None:
     basis.leads = [leads[k] for k in final]
     if reps is not None:
         basis.reps = [kept_reps[k] for k in final]
+    else:
+        # The leading monomials of a reduced basis are pairwise indivisible.
+        basis._set_active(list(range(len(final))))
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from trdeg.dependence import (
     AlgebraConfig,
@@ -17,10 +18,10 @@ from trdeg.dependence import (
     SubmonicCertificate,
     search_submonic_relation,
 )
-from trdeg.groebner import buchberger, normal_form
+from trdeg.groebner import GroebnerBasis, _reduce_basis, _remainder, buchberger, normal_form
 from trdeg.harness import sample_element
 from trdeg.linalg import FieldEchelon, hnf, solve_in_span
-from trdeg.monomials import ONE, Monomial
+from trdeg.monomials import ONE, Monomial, monomials_up_to_degree
 from trdeg.orderings import (
     GrevLex,
     GrLex,
@@ -310,6 +311,76 @@ def check_spoly_reduction(rng: random.Random, count: int) -> int:
                 ) - polys[j].mul_term(lcm.div(lm_j), field.div(field.one(), lc_j))
                 assert not normal_form(s, gb), "S-polynomial must reduce to 0"
     return count
+
+
+def check_incremental_basis(rng: random.Random, count: int) -> int:
+    """An untracked basis built one add at a time, as the ideal sweep builds
+    it, against a from-scratch tracked buchberger, which keeps the plain pair
+    rule.  Half the runs add random polynomials, half add the values of the
+    monomials of degree <= 2 at two or three sparse elements, greatest first,
+    as the sweep does.  After every add the active elements form a Groebner
+    basis (every S-polynomial of two of them reduces to 0 by them alone) with
+    pairwise indivisible leading monomials, and add answered membership; the
+    reduced result is the reduced basis."""
+    samplers = {
+        QQ: lambda r: Fraction(r.randint(-4, 4), r.randint(1, 3)),
+        GF(7): lambda r: r.randrange(7),
+        GF(2): lambda r: r.randrange(2),
+    }
+    for _ in range(count):
+        field = rng.choice(list(samplers))
+        ordering = rng.choice([Lex(), GrLex(), GrevLex()])
+        nvars = rng.randint(2, 3)
+        if rng.random() < 0.5:
+            count_adds = rng.randint(2, 5)
+            adds = [random_poly(rng, field, nvars, 3, samplers[field]) for _ in range(count_adds)]
+        else:
+            count_elems = rng.randint(2, 3)
+            elems = [random_poly(rng, field, nvars, 2, samplers[field]) for _ in range(count_elems)]
+            mons = GrevLex().sort(monomials_up_to_degree(count_elems, 2))[::-1]
+            adds = [_value(m, elems, field) for m in mons]
+        gb = GroebnerBasis(ordering, field)
+        _check_appends(gb, 200)
+        added = []
+        for p in adds:
+            reference = buchberger(added, ordering, field, track=True)
+            assert gb.add(p) == (not normal_form(p, reference)), "add answers membership"
+            added.append(p)
+            active = [gb.polys[k] for k in gb._active]
+            leads = [gb.leads[k] for k in gb._active]
+            for (f, a), (g, b) in combinations(zip(active, leads), 2):
+                assert not a.divides(b) and not b.divides(a), "active leads are indivisible"
+                lcm = a.lcm(b)
+                s = f.mul_term(lcm.div(a), field.one()) - g.mul_term(lcm.div(b), field.one())
+                assert not _remainder(s, active, leads, ordering, field), "S-polynomial is not 0"
+        _reduce_basis(gb)
+        assert gb.polys == buchberger(added, ordering, field, track=True).polys, "reduced basis"
+    return count
+
+
+def _value(mon: Monomial, elems: list, field) -> Polynomial:
+    """mon at the elements, by repeated multiplication."""
+    value = Polynomial.constant(field, field.one())
+    for i, e in mon:
+        for _ in range(e):
+            value = value * elems[i - 1]
+    return value
+
+
+def _check_appends(gb: GroebnerBasis, limit: int) -> None:
+    """Make every later append of gb check that the new element's leading
+    monomial is divisible by no earlier one (a retired element's leading
+    monomial is a multiple of an active one's), and fail once limit elements
+    are in: a wrong pair update can leave complete appending forever."""
+    append = gb.append
+
+    def checked(g, rep=None):
+        assert len(gb.polys) < limit, "the basis grows without bound"
+        lm = leading_term(g, gb.ordering)[0]
+        assert not any(b.divides(lm) for b in gb.leads), "a new element is reduced"
+        append(g, rep)
+
+    gb.append = checked
 
 
 def check_certificate_roundtrip(rng: random.Random, count: int) -> int:

@@ -81,6 +81,18 @@ class TestDep:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("ring", ["Quot(Poly(QQ; x); [1])", "Quot(Poly(QQ; x); [x, x-1])"])
+    def test_zero_ring_refused(self, capsys, ring):
+        shown = str(parse_ring_text(ring))
+        for argv in (["dep", "--elems", "x"], ["depmatrix", "--elems", "x,x+1", "--size", "1"]):
+            code, out, err = run(capsys, *argv, "--coeffs", ring, "--ring", ring, "--maxdeg", "1")
+            assert code == 2 and out == ""
+            assert err == (f"error: {shown} is the zero ring: its relations generate 1, "
+                           "so 1 = 0 and no relation has trailing coefficient 1\n")
+        code, out, _ = run(capsys, "dep", "--coeffs", "QQ", "--ring", ring, "--elems", "x",
+                           "--maxdeg", "1")
+        assert code == 0 and out.splitlines()[0] == "dependent: f = 1"
+
     def test_bad_element_text(self, capsys):
         code, _, err = run(capsys, "dep", "--elems", "2,,3")
         assert code == 2

@@ -94,6 +94,17 @@ class TestAlgebraConfig:
         with pytest.raises(UnsupportedConfigError):
             AlgebraConfig(parse_ring_text(coeff), parse_ring_text(alg))
 
+    @pytest.mark.parametrize(
+        "ring_text", ["Quot(Poly(QQ; x); [1])", "Quot(Poly(QQ; x); [x, x - 1])"]
+    )
+    def test_zero_ring_refused_on_the_ideal_route(self, ring_text):
+        # 1 = 0 there, so no relation has trailing coefficient 1.
+        ring = parse_ring_text(ring_text)
+        with pytest.raises(UnsupportedConfigError, match="zero ring"):
+            AlgebraConfig(ring, ring)
+        verdict = search_submonic_relation(AlgebraConfig(QQ, ring), (ring.one(),), GrevLex(), 1)
+        assert verdict.certificate.poly == Polynomial(QQ, {ONE: QQ.one()})
+
 
 class TestSearchIntegers:
     def test_pair_12_18(self):
@@ -138,6 +149,19 @@ class TestSearchIntegers:
         monkeypatch.setenv("TRDEG_MONOMIAL_CAP", "5")
         with pytest.raises(ResourceCapExceeded):
             search_submonic_relation(ZZ_CFG, (2, 3), Lex(), 10)
+
+    def test_candidate_lists_are_cached_after_the_cap_check(self, monkeypatch):
+        dependence._candidates.cache_clear()
+        search_submonic_relation(ZZ_CFG, (2, 3), Lex(), 3)
+        search_submonic_relation(ZZ_CFG, (4, 9), Lex(), 3)
+        info = dependence._candidates.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, dependence._CANDIDATE_LISTS)
+        mons = dependence._candidates(2, 3, Lex())
+        assert mons == tuple(Lex().sort(monomials_up_to_degree(2, 3)))
+        monkeypatch.setenv("TRDEG_MONOMIAL_CAP", "5")
+        with pytest.raises(ResourceCapExceeded):
+            search_submonic_relation(ZZ_CFG, (2, 3), Lex(), 7)
+        assert dependence._candidates.cache_info().misses == 1  # never looked up
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -762,6 +786,15 @@ class TestIdealSweep:
         monkeypatch.setattr(dependence, "ideal_cofactors", lambda target, gens, ring: None)
         with pytest.raises(InternalInconsistencyError, match="disagreed"):
             search_submonic_relation(cfg, elems, GrevLex(), 2)
+
+    def test_three_binomials_at_maxdeg_4(self):
+        # A hard input for the sweep's untracked basis: it grows far past the
+        # generators and many pairs are pruned or reduce to zero.
+        ring = parse_ring_text("Poly(QQ; x,y,z)")
+        cfg = AlgebraConfig(ring, ring)
+        elems = tuple(parse_elem(t, ring) for t in ("y*z + 3*x*y", "y + 3*x^2", "x*z + x"))
+        assert search_submonic_relation(cfg, elems, GrevLex(), 4) == NoRelationUpTo(4)
+        assert _per_candidate_ideal_search(cfg, elems, GrevLex(), 4) == (None, None)
 
 
 class TestIdealSearchCost:

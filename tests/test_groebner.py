@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from propcheck import check_spoly_reduction, random_monomial
+from propcheck import check_incremental_basis, check_spoly_reduction, random_monomial
 from trdeg.groebner import (
+    GroebnerBasis,
     buchberger,
     ideal_membership,
     membership_cofactors,
@@ -89,6 +90,39 @@ class TestBuchberger:
         untracked = buchberger(polys(ring, "x*y - 1"), GrevLex(), QQ)
         assert untracked.add(parse_elem("x^2*y - x", ring))
         assert not untracked.add(parse_elem("x^2 + y", ring))
+
+
+class TestIncrementalBasis:
+    """The untracked basis the ideal sweep grows one add at a time, under the
+    Gebauer-Moeller pair update."""
+
+    def test_seeded_sweeps_against_buchberger(self):
+        assert check_incremental_basis(random.Random(20), 120) == 120
+
+    def test_divided_elements_leave_the_active_list(self):
+        ring = parse_ring_text("Poly(QQ; x,y)")
+        gb = GroebnerBasis(GrevLex(), QQ)
+        assert not gb.add(parse_elem("x^2*y + 1", ring))
+        # y*(x^2*y + 1) - x*(x*y^2 + 1) = y - x, whose lead x retires x^2*y.
+        assert not gb.add(parse_elem("x*y^2 + 1", ring))
+        assert [ring.format_elem(gb.polys[k]) for k in gb._active] == ["x - y", "y^3 + 1"]
+        # x*y - 1 reduces to y^2 - 1, which retires y^3 + 1; their S-polynomial
+        # y + 1 retires y^2 - 1 in turn.
+        assert not gb.add(parse_elem("x*y - 1", ring))
+        assert [ring.format_elem(gb.polys[k]) for k in gb._active] == ["x - y", "y + 1"]
+        # Retired elements stay in polys: queued pairs may name them.
+        assert len(gb.polys) == 6
+        assert gb.add(parse_elem("x + 1", ring)) and gb.add(parse_elem("y^2 - 1", ring))
+
+    def test_coprime_pairs_are_never_queued(self):
+        ring = parse_ring_text("Poly(QQ; x,y,z)")
+        gb = GroebnerBasis(Lex(), QQ)
+        for text in ("x^2 + y", "y^3 + z", "z^2 + 1"):
+            gb.append(parse_elem(text, ring))
+        assert gb._heap == []
+        # x*y shares a variable with x^2 and y^3, none with z^2.
+        gb.append(parse_elem("x*y", ring))
+        assert sorted((i, j) for _, i, j, _ in gb._heap) == [(0, 3), (1, 3)]
 
 
 class TestNormalForm:
