@@ -10,21 +10,17 @@ by (ordering key of the lcm, i, j), which is the normal strategy (least lcm
 under the ordering, ties to the least index pair); each pair's lcm and key
 are computed once, when the pair is formed.
 
-The two kinds of basis differ in their pair rule.  An untracked basis (the
-sweep's, and buchberger(track=False)) keeps the Gebauer-Moeller update
-(Gebauer & Moeller 1988; UPDATE in Becker & Weispfenning 1993): when h joins,
-its pairs are pruned before they are queued (criterion M drops a pair whose
-lcm another new pair's lcm properly divides, F keeps one pair per lcm, and
-an lcm class goes whole when one of its pairs has coprime leading
+Every basis, tracked or not, keeps one pair rule, the Gebauer-Moeller
+update (Gebauer & Moeller 1988; UPDATE in Becker & Weispfenning 1993): when
+h joins, its pairs are pruned before they are queued (criterion M drops a
+pair whose lcm another new pair's lcm properly divides, F keeps one pair per
+lcm, and an lcm class goes whole when one of its pairs has coprime leading
 monomials), B_k drops the queued pairs whose lcm lm(h) divides unless it is
 the lcm of either element with h, and the elements whose leading monomial
-lm(h) divides leave the active list.  Its S-polynomials, and add, divide by
-the active elements only.  A tracked basis (ideal_cofactors,
-reduce_with_cofactors) queues every pair and skips one when it is popped, by
-the coprime-leading-monomial criterion and the chain criterion, dividing by
-every element: its cofactor rows, and with them the certificates and the
-pinned cofactor outputs, are those of that rule, and the update would change
-them.
+lm(h) divides leave the active list.  S-polynomials, and add, divide by the
+active elements only, so a tracked remainder's cofactor row is combined from
+the active elements' rows.  The reduced basis does not depend on the pair
+rule; cofactor rows, and with them certificates, do.
 
 Each element is made monic as it enters the basis, together with its
 cofactor row, so neither S-polynomials nor division divide by a leading
@@ -114,12 +110,10 @@ class GroebnerBasis:
     reps[i] is combined from the rows given to append exactly as polys[i] is
     combined from the appended generators.
 
-    An untracked basis keeps the Gebauer-Moeller update: pairs are pruned
-    when they are formed, and only the active elements divide; polys and
-    leads still hold every element, since queued pairs may name a retired
-    one.  A tracked basis queues every pair and skips one when it is popped,
-    so its cofactors stay those of the plain pair loop (see the module
-    docstring)."""
+    Pairs are pruned when they are formed, by the Gebauer-Moeller update (see
+    the module docstring), and only the active elements divide; polys, leads
+    and reps still hold every element, since queued pairs may name a retired
+    one."""
 
     def __init__(self, ordering: MonomialOrdering, field, track: bool = False):
         self.ordering = ordering
@@ -129,11 +123,9 @@ class GroebnerBasis:
         self.reps: Optional[list[list[Polynomial]]] = [] if track else None
         # (ordering key of the lcm, i, j, lcm) of every queued pair i < j.
         self._heap: list[tuple] = []
-        # Tracked: (i, j) of the queued pairs, for the chain criterion.
-        self._live: set[tuple[int, int]] = set()
-        # Untracked: the indices of the active elements, those whose leading
-        # monomial no later leading monomial divides, and their polys and
-        # leads, the divisors of every division.
+        # The indices of the active elements, those whose leading monomial no
+        # later leading monomial divides, and their polys and leads, the
+        # divisors of every division.
         self._active: list[int] = []
         self._divisors: tuple[list[Polynomial], list[Monomial]] = ([], [])
 
@@ -146,17 +138,11 @@ class GroebnerBasis:
             g = g.scale(inv)
             if self.reps is not None:
                 rep = [c.scale(inv) for c in rep]
-        new = len(self.polys)
         self.polys.append(g)
         self.leads.append(lm)
-        if self.reps is None:
-            self._update(new, lm)
-            return
-        self.reps.append(rep)
-        for k in range(new):
-            lcm = self.leads[k].lcm(lm)
-            heapq.heappush(self._heap, (self.ordering.key(lcm), k, new, lcm))
-            self._live.add((k, new))
+        if self.reps is not None:
+            self.reps.append(rep)
+        self._update(len(self.polys) - 1, lm)
 
     def _update(self, new: int, lm: Monomial) -> None:
         """The Gebauer-Moeller update for element new with leading monomial lm:
@@ -194,40 +180,25 @@ class GroebnerBasis:
     def complete(self) -> None:
         """Reduce the S-polynomial of every queued pair, appending nonzero
         remainders (whose pairs join the queue), until no pair is left."""
-        polys, leads, reps, live = self.polys, self.leads, self.reps, self._live
+        polys, leads, reps = self.polys, self.leads, self.reps
         one = self.field.one()
         while self._heap:
             _, i, j, lcm = heapq.heappop(self._heap)
-            lm_i, lm_j = leads[i], leads[j]
-            if reps is not None:
-                live.discard((i, j))
-                if lcm == lm_i * lm_j:
-                    continue  # coprime leading monomials reduce to zero
-                if any(
-                    k != i
-                    and k != j
-                    and leads[k].divides(lcm)
-                    and (min(i, k), max(i, k)) not in live
-                    and (min(j, k), max(j, k)) not in live
-                    for k in range(len(polys))
-                ):
-                    continue  # chain criterion
-
-            mon_i = lcm.div(lm_i)
-            mon_j = lcm.div(lm_j)
+            mon_i = lcm.div(leads[i])
+            mon_j = lcm.div(leads[j])
             s = polys[i].mul_term(mon_i, one) - polys[j].mul_term(mon_j, one)
             if reps is None:
                 r = _remainder(s, *self._divisors, self.ordering, self.field)
                 if r:
                     self.append(r)
                 continue
-            r, quots = _divide(s, polys, leads, self.ordering, self.field)
+            r, quots = _divide(s, *self._divisors, self.ordering, self.field)
             if r:
                 rep = [
                     a.mul_term(mon_i, one) - b.mul_term(mon_j, one)
                     for a, b in zip(reps[i], reps[j])
                 ]
-                self.append(r, _rep_minus(rep, quots, reps))
+                self.append(r, _rep_minus(rep, quots, [reps[k] for k in self._active]))
 
     def add(self, p: Polynomial) -> bool:
         """True when p lies in the ideal of the complete basis; otherwise its
@@ -292,9 +263,8 @@ def _reduce_basis(basis: GroebnerBasis) -> None:
     basis.leads = [leads[k] for k in final]
     if reps is not None:
         basis.reps = [kept_reps[k] for k in final]
-    else:
-        # The leading monomials of a reduced basis are pairwise indivisible.
-        basis._set_active(list(range(len(final))))
+    # The leading monomials of a reduced basis are pairwise indivisible.
+    basis._set_active(list(range(len(final))))
 
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:

@@ -43,9 +43,6 @@ class MonomialOrdering:
         ks, kt = self.key(s), self.key(t)
         return (ks > kt) - (ks < kt)
 
-    def less(self, s: Monomial, t: Monomial) -> bool:
-        return self.key(s) < self.key(t)
-
     def sort(self, monomials: Iterable[Monomial]) -> list[Monomial]:
         """Ascending: least monomial first."""
         return sorted(monomials, key=self.key)

@@ -39,19 +39,12 @@ class Polynomial:
     def constant_coeff(self):
         return self.terms.get(ONE, self.ring.zero())
 
-    def coeff(self, mon: Monomial):
-        return self.terms.get(mon, self.ring.zero())
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((m.degree for m in self.terms), default=-1)
 
     def max_var_index(self) -> int:
         return max((m.max_index() for m in self.terms), default=0)
-
-    def support(self) -> list[Monomial]:
-        """Monomials with nonzero coefficient, in a deterministic natural order."""
-        return sorted(self.terms, key=Monomial.natural_key)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

@@ -208,9 +208,6 @@ class PolyRing(Ring):
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         return Polynomial.variable(self.base, index)
 
-    def var_by_name(self, name: str) -> Polynomial:
-        return self.var(self.names.index(name) + 1)
-
     def from_int(self, k: int):
         return Polynomial.constant(self.base, self.base.from_int(k))
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Iterator
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -285,19 +287,31 @@ def random_poly(rng: random.Random, base, nvars: int, maxdeg: int, sampler) -> P
 
 def check_spoly_reduction(rng: random.Random, count: int) -> int:
     """Every S-polynomial of a computed basis reduces to zero, and the basis
-    contains its own generators' ideal (NF of each generator is zero)."""
+    contains its own generators' ideal (NF of each generator is zero).  Every
+    second basis is tracked: each element is then the combination of the
+    generators that its cofactor row names, and the basis equals the
+    untracked one.  Every element that complete appends is checked as
+    _check_appends checks it."""
     samplers = {
         GF(7): lambda r: r.randrange(7),
         QQ: lambda r: Fraction(r.randint(-4, 4)),
     }
-    for _ in range(count):
+    for case in range(count):
         field = GF(7) if rng.random() < 0.5 else QQ
         ordering = rng.choice([Lex(), GrevLex(), GrLex()])
         gens = [
             random_poly(rng, field, rng.randint(1, 3), 3, samplers[field])
             for _ in range(rng.randint(1, 3))
         ]
-        gb = buchberger(gens, ordering, field)
+        track = case % 2 == 1
+        with checked_completions():
+            gb = buchberger(gens, ordering, field, track)
+            if track:
+                assert gb.polys == buchberger(gens, ordering, field).polys, "tracked basis"
+        if track:
+            for g, rep in zip(gb.polys, gb.reps):
+                total = sum((c * h for c, h in zip(rep, gens)), Polynomial(field))
+                assert total == g, "an element is its cofactor row's combination"
         for g in gens:
             assert not normal_form(g, gb)
         polys = gb.polys
@@ -313,15 +327,58 @@ def check_spoly_reduction(rng: random.Random, count: int) -> int:
     return count
 
 
+def reference_basis(
+    basis: list[Polynomial], p: Polynomial, ordering: MonomialOrdering, field
+) -> list[Polynomial]:
+    """The reduced Groebner basis of the ideal of basis, a reduced Groebner
+    basis, and p, by Buchberger's algorithm with no pair criterion: each new
+    element's S-polynomial with every element, least lcm first, is divided by
+    every element, and a nonzero remainder joins.  Then the elements whose
+    leading monomial another one divides go, and each is reduced by the rest."""
+    one = field.one()
+    polys = list(basis)
+    leads = [leading_term(g, ordering)[0] for g in polys]
+    pairs: list[tuple[int, int]] = []
+    p = _remainder(p, polys, leads, ordering, field)
+    while True:
+        if p:
+            lm, lc = leading_term(p, ordering)
+            pairs += [(k, len(polys)) for k in range(len(polys))]
+            polys.append(p.scale(field.div(one, lc)))
+            leads.append(lm)
+        if not pairs:
+            break
+        i, j = min(pairs, key=lambda ij: ordering.key(leads[ij[0]].lcm(leads[ij[1]])))
+        pairs.remove((i, j))
+        lcm = leads[i].lcm(leads[j])
+        s = polys[i].mul_term(lcm.div(leads[i]), one) - polys[j].mul_term(lcm.div(leads[j]), one)
+        p = _remainder(s, polys, leads, ordering, field)
+    # Ascending, a divisor of a leading monomial comes before it.
+    keep: list[int] = []
+    for k in sorted(range(len(polys)), key=lambda k: ordering.key(leads[k])):
+        if not any(leads[m].divides(leads[k]) for m in keep):
+            keep.append(k)
+    return [
+        _remainder(
+            polys[k],
+            [polys[m] for m in keep if m != k],
+            [leads[m] for m in keep if m != k],
+            ordering,
+            field,
+        )
+        for k in keep
+    ]
+
+
 def check_incremental_basis(rng: random.Random, count: int) -> int:
     """An untracked basis built one add at a time, as the ideal sweep builds
-    it, against a from-scratch tracked buchberger, which keeps the plain pair
-    rule.  Half the runs add random polynomials, half add the values of the
-    monomials of degree <= 2 at two or three sparse elements, greatest first,
-    as the sweep does.  After every add the active elements form a Groebner
-    basis (every S-polynomial of two of them reduces to 0 by them alone) with
-    pairwise indivisible leading monomials, and add answered membership; the
-    reduced result is the reduced basis."""
+    it, against reference_basis, which shares no pair rule with it.  Half the
+    runs add random polynomials, half add the values of the monomials of
+    degree <= 2 at two or three sparse elements, greatest first, as the sweep
+    does.  After every add the active elements form a Groebner basis (every
+    S-polynomial of two of them reduces to 0 by them alone) with pairwise
+    indivisible leading monomials, and add answered membership; the reduced
+    result is the reduced basis."""
     samplers = {
         QQ: lambda r: Fraction(r.randint(-4, 4), r.randint(1, 3)),
         GF(7): lambda r: r.randrange(7),
@@ -340,12 +397,13 @@ def check_incremental_basis(rng: random.Random, count: int) -> int:
             mons = GrevLex().sort(monomials_up_to_degree(count_elems, 2))[::-1]
             adds = [_value(m, elems, field) for m in mons]
         gb = GroebnerBasis(ordering, field)
-        _check_appends(gb, 200)
-        added = []
+        _check_appends(gb)
+        reference: list[Polynomial] = []
         for p in adds:
-            reference = buchberger(added, ordering, field, track=True)
-            assert gb.add(p) == (not normal_form(p, reference)), "add answers membership"
-            added.append(p)
+            previous = reference
+            reference = reference_basis(previous, p, ordering, field)
+            # A reduced basis is unique: it moves exactly when p is outside.
+            assert gb.add(p) == (reference == previous), "add answers membership"
             active = [gb.polys[k] for k in gb._active]
             leads = [gb.leads[k] for k in gb._active]
             for (f, a), (g, b) in combinations(zip(active, leads), 2):
@@ -354,7 +412,7 @@ def check_incremental_basis(rng: random.Random, count: int) -> int:
                 s = f.mul_term(lcm.div(a), field.one()) - g.mul_term(lcm.div(b), field.one())
                 assert not _remainder(s, active, leads, ordering, field), "S-polynomial is not 0"
         _reduce_basis(gb)
-        assert gb.polys == buchberger(added, ordering, field, track=True).polys, "reduced basis"
+        assert gb.polys == reference, "reduced basis"
     return count
 
 
@@ -367,15 +425,45 @@ def _value(mon: Monomial, elems: list, field) -> Polynomial:
     return value
 
 
-def _check_appends(gb: GroebnerBasis, limit: int) -> None:
+# A wrong pair update can leave complete appending forever; the checks fail
+# once a basis holds this many elements instead.
+BASIS_LIMIT = 200
+
+
+@contextmanager
+def checked_completions() -> Iterator[None]:
+    """While the context lasts, every GroebnerBasis.complete checks the
+    elements it appends as _check_appends does, unless the basis is checked
+    already.  The element bound alone is too slow a stop: a wrong update can
+    build remainders of thousands of terms long before the basis holds
+    BASIS_LIMIT elements."""
+    complete = GroebnerBasis.complete
+
+    def checked(self):
+        if "append" in vars(self):
+            return complete(self)
+        _check_appends(self)
+        try:
+            complete(self)
+        finally:
+            del self.append
+
+    GroebnerBasis.complete = checked
+    try:
+        yield
+    finally:
+        GroebnerBasis.complete = complete
+
+
+def _check_appends(gb: GroebnerBasis) -> None:
     """Make every later append of gb check that the new element's leading
     monomial is divisible by no earlier one (a retired element's leading
-    monomial is a multiple of an active one's), and fail once limit elements
-    are in: a wrong pair update can leave complete appending forever."""
+    monomial is a multiple of an active one's), and fail once BASIS_LIMIT
+    elements are in."""
     append = gb.append
 
     def checked(g, rep=None):
-        assert len(gb.polys) < limit, "the basis grows without bound"
+        assert len(gb.polys) < BASIS_LIMIT, "the basis grows without bound"
         lm = leading_term(g, gb.ordering)[0]
         assert not any(b.divides(lm) for b in gb.leads), "a new element is reduced"
         append(g, rep)

@@ -214,7 +214,7 @@ def test_criterion_6_weight_separation(capsys):
             pool = [
                 mon
                 for mon in monomials_up_to_degree(nvars, 6)
-                if ordering.less(trailing, mon)
+                if ordering.key(trailing) < ordering.key(mon)
             ]
             # enough strictly larger monomials always exist: every multiple
             # trailing*m with 1 <= deg(m) <= 2 qualifies

@@ -248,7 +248,7 @@ def _span_vectors(cfg, elems, mons):
     values = _monomial_values(algebra, elems, mons)
     if isinstance(algebra, PolyRing):
         basis = sorted({b for v in values for b in v.terms}, key=Monomial.natural_key)
-        return [[v.coeff(b) for b in basis] for v in values]
+        return [[v.terms.get(b, v.ring.zero()) for b in basis] for v in values]
     return [[v] for v in values]
 
 

@@ -39,17 +39,17 @@ class TestPinnedComparisons:
     def test_lex_prefers_earlier_variable_at_any_power(self):
         lex = Lex()
         for k in range(1, 9):
-            assert lex.less(m((2, k)), m((1, 1)))
-        assert lex.less(m((1, 1)), m((1, 2)))
+            assert lex.key(m((2, k))) < lex.key(m((1, 1)))
+        assert lex.key(m((1, 1))) < lex.key(m((1, 2)))
 
     def test_lex_priority_flip(self):
         flipped = Lex((2, 1))
-        assert flipped.less(m((1, 5)), m((2, 1)))
+        assert flipped.key(m((1, 5))) < flipped.key(m((2, 1)))
 
     def test_grlex_degree_first_then_lex(self):
         g = GrLex()
-        assert g.less(m((1, 1)), m((2, 2)))  # degree decides
-        assert g.less(m((1, 1), (2, 2)), m((1, 2), (2, 1)))  # ties by lex
+        assert g.key(m((1, 1))) < g.key(m((2, 2)))  # degree decides
+        assert g.key(m((1, 1), (2, 2))) < g.key(m((1, 2), (2, 1)))  # ties by lex
 
     def test_grlex_grevlex_disagree_on_textbook_pair(self):
         a = m((1, 2), (3, 1))  # x1^2*x3
@@ -58,21 +58,21 @@ class TestPinnedComparisons:
         assert GrevLex().compare(a, b) == -1
 
     def test_grevlex_smaller_last_exponent_wins(self):
-        assert GrevLex().less(m((1, 1), (3, 1)), m((2, 2)))  # x1x3 < x2^2
+        assert GrevLex().key(m((1, 1), (3, 1))) < GrevLex().key(m((2, 2)))  # x1x3 < x2^2
 
     def test_weighted_lex(self):
         w = WeightedLex((2, 3))
-        assert w.less(m((1, 1)), m((2, 1)))  # weights 2 < 3
+        assert w.key(m((1, 1))) < w.key(m((2, 1)))  # weights 2 < 3
         assert w.compare(m((1, 3)), m((2, 2))) == 1  # 6 = 6, lex breaks the tie
         assert w.weight(m((1, 1), (3, 2))) == Fraction(4)  # undeclared vars weigh 1
 
     def test_matrix_order(self):
         mo = MatrixOrder([[1, 1], [1, 0]])
         assert mo.compare(m((1, 1)), m((2, 1))) == 1
-        assert mo.less(m((2, 2)), m((1, 1), (2, 1)))
+        assert mo.key(m((2, 2))) < mo.key(m((1, 1), (2, 1)))
         frac = MatrixOrder([[Fraction(1, 2), Fraction(1, 3)], [1, 0]])
         assert frac.compare(m((1, 1)), m((2, 1))) == 1  # 1/2 > 1/3
-        assert frac.less(m((2, 3)), m((1, 2)))  # 1 = 1, then 0 < 2
+        assert frac.key(m((2, 3))) < frac.key(m((1, 2)))  # 1 = 1, then 0 < 2
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +208,7 @@ class TestSeparatingWeights:
             while len(above) < 3 and attempts < 500:
                 cand = random_monomial(rng, 3, 6)
                 attempts += 1
-                if ordering.less(trailing, cand):
+                if ordering.key(trailing) < ordering.key(cand):
                     above.add(cand)
             if not above:
                 continue
@@ -242,7 +242,9 @@ class TestSeparatingWeights:
             ordering = rng.choice(ordering_families(nvars))
             trailing = random_monomial(rng, nvars, 4)
             pool = [
-                mon for mon in monomials_up_to_degree(nvars, 6) if ordering.less(trailing, mon)
+                mon
+                for mon in monomials_up_to_degree(nvars, 6)
+                if ordering.key(trailing) < ordering.key(mon)
             ]
             results.append(separating_weights(trailing, rng.sample(pool, 5), ordering))
         assert self._digest(results) == (
