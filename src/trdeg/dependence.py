@@ -16,18 +16,20 @@ greater vectors; the ideal route adds the values to one growing GroebnerBasis
 seeded with the algebra's relations (a value is a member exactly when its
 normal form is zero) and takes the hit's cofactors from ideal_cofactors.
 
-The span route works on one vector per candidate: the coefficient vector of
-its value over the monomials that occur (when packed: can occur) in some
-value, in Monomial.natural_key order (a scalar algebra's value is its own
-1-vector).  On a PolyRing over ZZ, QQ or GF(p) the values are not built as
-Polynomials: Kronecker substitution packs each element into one int, and a
-candidate's row is read off a product of entries of the elements' power
-table, in slots wide enough for the proven coefficient bound (see
-_span_vectors).  Rows are built when the sweep or the solve first reads
-them, greatest first, over the columns of the elements' Minkowski support.
-The packing box can be far larger than the values (many variables, few
-terms); such inputs, quotient algebras and the ideal route multiply
-Polynomials.  check_certificate always evaluates through eval_poly.
+The span route works on one vector per candidate.  A scalar algebra's
+vector is the 1-vector of its value.  A polynomial or quotient algebra's is
+the coefficient vector of its value over the monomials that occur (when
+packed: can occur) in some value, in Monomial.natural_key order.  Neither a
+scalar algebra nor a PolyRing over ZZ, QQ or GF(p) builds its values one
+candidate from the next: a candidate's row is read off a product of entries
+of a table of the elements' powers, and is built when the sweep or the solve
+first reads it, greatest first.  On the PolyRing, Kronecker substitution
+packs each element into one int, in slots wide enough for the proven
+coefficient bound (see _span_vectors), and the columns are the elements'
+Minkowski support.  The packing box can be far larger than the values (many
+variables, few terms); such inputs, quotient algebras and the ideal route
+multiply Polynomials, for every candidate up front.  check_certificate
+always evaluates through eval_poly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, product, repeat
 from operator import getitem, mul
 from typing import Callable, Optional, Union
@@ -261,10 +263,11 @@ def _span_vectors(
 ) -> Sequence[list]:
     """The vector of each candidate's value at the elements, in the order of mons.
 
-    A scalar algebra's value is its own 1-vector.  A polynomial or quotient
-    algebra's value is its coefficient vector over the monomials that have a
-    nonzero coefficient in some value, in Monomial.natural_key order, the
-    column order that fixes the Hermite and echelon forms.  A QuotRing
+    A scalar algebra's vector is [value], built on demand from a power
+    table, see _scalar_rows.  A polynomial or quotient algebra's value is
+    its coefficient vector over the monomials that have a nonzero
+    coefficient in some value, in Monomial.natural_key order, the column
+    order that fixes the Hermite and echelon forms.  A QuotRing
     multiplies Polynomials.  A PolyRing (over ZZ, QQ or GF(p), the ones
     AlgebraConfig admits here) packs unless its box is too sparse, see
     _packed_vectors: its rows are built on demand, over the monomials that
@@ -275,13 +278,13 @@ def _span_vectors(
     PolyRing that does not pack multiplies Polynomials too.
     """
     algebra = config.algebra
+    if not isinstance(algebra, (PolyRing, QuotRing)):
+        return _scalar_rows(mons, elems, algebra)
     if isinstance(algebra, PolyRing):
         vecs = _packed_vectors(mons, elems, algebra.base)
         if vecs is not None:
             return vecs
     values = _evaluate_monomials(mons, elems, algebra)
-    if not isinstance(algebra, (PolyRing, QuotRing)):
-        return [[values[m]] for m in mons]
     poly_vals = [values[m] for m in mons]
     basis = _coefficient_basis(poly_vals)
     zero = algebra.poly_ring.base.zero()
@@ -305,6 +308,16 @@ class _LazyRows(Sequence):
         if self._rows[k] is None:
             self._rows[k] = self._build(self._keys[k])
         return self._rows[k]
+
+
+def _scalar_rows(mons: Sequence[Monomial], elems: Sequence, algebra: Ring) -> Sequence[list]:
+    """_span_vectors on a scalar algebra, as rows built on demand: the row of
+    m is [prod_i pw[i][m_i]], read off the power table pw[i][e] = a_i^e,
+    e <= maxdeg, and multiplied in the algebra."""
+    maxdeg = max(m.degree for m in mons)
+    one = algebra.one()
+    powers = [list(accumulate(repeat(a, maxdeg), algebra.mul, initial=one)) for a in elems]
+    return _LazyRows(mons, lambda m: [reduce(algebra.mul, map(getitem, powers, m.vector), one)])
 
 
 def _multisets(size: int, count: int) -> int:

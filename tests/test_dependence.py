@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from propcheck import check_plain_eval
+from propcheck import check_plain_eval, checked_completions
 from trdeg import dependence, groebner
 from trdeg.dependence import (
     AlgebraConfig,
@@ -37,6 +37,13 @@ def m(*pairs):
 
 
 ZZ_CFG = AlgebraConfig(ZZ, ZZ)
+
+
+@pytest.fixture(autouse=True)
+def _checked():
+    # A wrong pair update fails the ideal sweep here instead of growing a basis for minutes.
+    with checked_completions():
+        yield
 
 
 class TestAlgebraConfig:
@@ -590,6 +597,70 @@ class TestPackedSpanVectors:
         elems = (parse_elem("1/2*x^2 - 3", cfg.algebra), parse_elem("x + 1", cfg.algebra))
         with pytest.raises(InternalInconsistencyError, match="invalid certificate"):
             search_submonic_relation(cfg, elems, GrevLex(), 2)
+
+
+class TestScalarSpanVectors:
+    """A ring as its own algebra reads its 1-vectors off a power table; they
+    equal the values built by repeated multiplication."""
+
+    RINGS = {
+        "ZZ": ZZ,
+        "QQ": QQ,
+        "GF(7)": PrimeField(7),
+        **{f"Zmod({n})": ModularRing(n) for n in (6, 8, 12, 30)},
+    }
+
+    @staticmethod
+    def _element_kinds(ring):
+        """Zero, one, units and non-units of the ring (non-units include
+        the zero divisors and nilpotents of Z/n)."""
+        if ring == ZZ:
+            return [[0], [1], [-1], [2, -3, 6, 12]]
+        if ring == QQ:
+            return [[0], [1], [-1, Fraction(2, 3), Fraction(-5, 4), 7]]
+        n = ring.modulus
+        units = [a for a in range(2, n) if math.gcd(a, n) == 1]
+        others = [a for a in range(2, n) if math.gcd(a, n) > 1]
+        return [[0], [1]] + [kind for kind in (units, others) if kind]
+
+    @pytest.mark.parametrize("name", list(RINGS))
+    def test_matches_repeated_multiplication(self, name):
+        ring = self.RINGS[name]
+        cfg = AlgebraConfig(ring, ring)
+        top = ring.modulus + 1 if isinstance(ring, ModularRing) else 8
+        kinds = self._element_kinds(ring)
+        rng = random.Random(f"scalar rows {name}")
+        for _ in range(30):
+            arity, maxdeg = rng.randint(1, 3), rng.randint(0, top)
+            elems = tuple(rng.choice(rng.choice(kinds)) for _ in range(arity))
+            ordering = rng.choice([Lex(), GrevLex()])
+            mons = ordering.sort(monomials_up_to_degree(arity, maxdeg))
+            want = _span_vectors(cfg, elems, mons)
+            got = list(dependence._span_vectors(mons, elems, cfg))
+            assert got == want
+            assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want]
+
+    def test_rows_are_built_on_demand(self, monkeypatch):
+        # The six values of degree 5, 2^k 3^(5 - k), hold the coprime 2^5 and
+        # 3^5, so the sweep stops after their rows and the hit is 1; the solve
+        # reads the row of 1 and those of x2 and x1: 9 of the 21 rows are
+        # built, each once.
+        built = []
+
+        class Counting(dependence._LazyRows):
+            def __init__(self, keys, build):
+                super().__init__(keys, lambda mon: built.append(mon) or build(mon))
+
+        monkeypatch.setattr(dependence, "_LazyRows", Counting)
+        cert = search_submonic_relation(ZZ_CFG, (2, 3), GrevLex(), 5).certificate
+        mons = GrevLex().sort(monomials_up_to_degree(2, 5))
+        assert cert.trailing == ONE
+        assert built == mons[:-7:-1] + mons[:3]
+        monkeypatch.setattr(
+            dependence, "_span_vectors", lambda mons, elems, cfg: _span_vectors(cfg, elems, mons)
+        )
+        plain = search_submonic_relation(ZZ_CFG, (2, 3), GrevLex(), 5).certificate
+        assert cert.to_json() == plain.to_json()
 
 
 class TestSpanSweep:

@@ -1,6 +1,7 @@
 """Source-level guards on the trdeg package."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -136,3 +137,21 @@ def test_readme_library_example_runs():
     assert (cl.exponents, cl.coeffs) == ((2,), (11,))
     assert sub.poly == Polynomial(Zmod(12), {x1 * x1 * x1: 1, x1 * x1: 1})
     assert sub.trailing == x1 * x1 and sub.verified
+
+
+def test_benchmark_tracing_hooks_find_their_targets():
+    # A benchmark hook whose target was renamed or deleted reports its layer
+    # as absent, and a traced run then prints null for that layer's metrics.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    search = trdeg.dependence.search_submonic_relation
+    tracer = tracing.Tracer()
+    tracer.install(tracing.HOOKS)
+    try:
+        assert trdeg.dependence.search_submonic_relation is not search
+        assert tracer.absent == {}
+    finally:
+        tracer.uninstall()
+    assert trdeg.dependence.search_submonic_relation is search
