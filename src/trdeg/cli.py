@@ -29,7 +29,7 @@ from .dependence import (
     dependence_matrix,
     search_submonic_relation,
 )
-from .errors import TrdegError
+from .errors import ParseError, TrdegError
 from .groebner import reduce_with_cofactors
 from .harness import ExperimentSpec, known_dim, run_experiment
 from .monomials import Monomial
@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
         cert = kind.from_dict(data)
     except KeyError as exc:
         raise TrdegError(f"malformed certificate: missing key {exc}") from exc
-    except TypeError as exc:
+    except (ParseError, TypeError) as exc:
         raise TrdegError(f"malformed certificate: {exc}") from exc
     # a submonic certificate was already checked by from_dict
     reason = None if kind is SubmonicCertificate and cert.verified else check(cert)

@@ -16,20 +16,16 @@ greater vectors; the ideal route adds the values to one growing GroebnerBasis
 seeded with the algebra's relations (a value is a member exactly when its
 normal form is zero) and takes the hit's cofactors from ideal_cofactors.
 
-The span route works on one vector per candidate.  A scalar algebra's
-vector is the 1-vector of its value.  A polynomial or quotient algebra's is
+Every route reads a candidate's value off one table of the elements'
+powers (_power_products), when the sweep or the solve first reads it,
+greatest first.  The span route works on one vector per candidate: a scalar
+algebra's is the 1-vector of its value, a polynomial or quotient algebra's
 the coefficient vector of its value over the monomials that occur (when
-packed: can occur) in some value, in Monomial.natural_key order.  Neither a
-scalar algebra nor a PolyRing over ZZ, QQ or GF(p) builds its values one
-candidate from the next: a candidate's row is read off a product of entries
-of a table of the elements' powers, and is built when the sweep or the solve
-first reads it, greatest first.  On the PolyRing, Kronecker substitution
-packs each element into one int, in slots wide enough for the proven
-coefficient bound (see _span_vectors), and the columns are the elements'
-Minkowski support.  The packing box can be far larger than the values (many
-variables, few terms); such inputs, quotient algebras and the ideal route
-multiply Polynomials, for every candidate up front.  check_certificate
-always evaluates through eval_poly.
+packed: can occur) in some value, in Monomial.natural_key order.  A
+PolyRing over ZZ, QQ or GF(p) packs its elements into ints by Kronecker
+substitution (see _packed_vectors); a quotient algebra, or a PolyRing whose
+packing box is too sparse, reads every value to find its columns.
+check_certificate always evaluates through eval_poly.
 """
 
 from __future__ import annotations
@@ -237,25 +233,12 @@ def verify_certificate(cert: SubmonicCertificate) -> bool:
     return check_certificate(cert) is None
 
 
-def _evaluate_monomials(
-    mons: Sequence[Monomial], elements: Sequence, algebra: Ring
-) -> dict[Monomial, object]:
-    """Values of all candidate monomials at the elements, sharing subproducts."""
-    values: dict[Monomial, object] = {}
-    for m in sorted(mons, key=Monomial.natural_key):
-        if m.is_one():
-            values[m] = algebra.one()
-            continue
-        i = m.indices()[0]
-        values[m] = algebra.mul(values[m.div(Monomial.var(i))], elements[i - 1])
-    return values
-
-
-def _coefficient_basis(values: Sequence[Polynomial]) -> list[Monomial]:
-    support: set[Monomial] = set()
-    for v in values:
-        support.update(v.terms)
-    return sorted(support, key=Monomial.natural_key)
+def _power_products(elems: Sequence, maxdeg: int, mul: Callable, one) -> Callable:
+    """m -> prod_i pw[i][m_i], read off the power table pw[i][e] = a_i^e,
+    e <= maxdeg, built with mul from one: the only place where the search
+    multiplies out a candidate's value."""
+    powers = [list(accumulate(repeat(a, maxdeg), mul, initial=one)) for a in elems]
+    return lambda m: reduce(mul, map(getitem, powers, m.vector), one)
 
 
 def _span_vectors(
@@ -263,32 +246,28 @@ def _span_vectors(
 ) -> Sequence[list]:
     """The vector of each candidate's value at the elements, in the order of mons.
 
-    A scalar algebra's vector is [value], built on demand from a power
-    table, see _scalar_rows.  A polynomial or quotient algebra's value is
-    its coefficient vector over the monomials that have a nonzero
-    coefficient in some value, in Monomial.natural_key order, the column
-    order that fixes the Hermite and echelon forms.  A QuotRing
-    multiplies Polynomials.  A PolyRing (over ZZ, QQ or GF(p), the ones
-    AlgebraConfig admits here) packs unless its box is too sparse, see
-    _packed_vectors: its rows are built on demand, over the monomials that
-    can occur in some value (a superset whose extra columns are zero in
-    every row), in slots of B = bitlen(N^maxdeg) + 2 bits, N the largest l1
-    norm of the elements' integer lifts a'_i: |coefficient of m(a')| <=
-    prod ||a'_i||_1^e_i <= N^maxdeg, since ||fg||_1 <= ||f||_1 ||g||_1.  A
-    PolyRing that does not pack multiplies Polynomials too.
+    A scalar algebra's vector is [value], built on demand.  A polynomial or
+    quotient algebra's is the coefficient vector of its value over the
+    monomials that have a nonzero coefficient in some value, in
+    Monomial.natural_key order, the column order that fixes the Hermite and
+    echelon forms.  A PolyRing (over ZZ, QQ or GF(p), the ones AlgebraConfig
+    admits here) packs unless its box is too sparse, see _packed_vectors.  A
+    QuotRing, or a PolyRing that does not pack, needs every value to know
+    the columns.
     """
     algebra = config.algebra
+    maxdeg = max(m.degree for m in mons)
     if not isinstance(algebra, (PolyRing, QuotRing)):
-        return _scalar_rows(mons, elems, algebra)
+        value = _power_products(elems, maxdeg, algebra.mul, algebra.one())
+        return _LazyRows(mons, lambda m: [value(m)])
     if isinstance(algebra, PolyRing):
         vecs = _packed_vectors(mons, elems, algebra.base)
         if vecs is not None:
             return vecs
-    values = _evaluate_monomials(mons, elems, algebra)
-    poly_vals = [values[m] for m in mons]
-    basis = _coefficient_basis(poly_vals)
+    values = list(map(_power_products(elems, maxdeg, algebra.mul, algebra.one()), mons))
+    basis = sorted({b for v in values for b in v.terms}, key=Monomial.natural_key)
     zero = algebra.poly_ring.base.zero()
-    return [[v.terms.get(b, zero) for b in basis] for v in poly_vals]
+    return [[v.terms.get(b, zero) for b in basis] for v in values]
 
 
 class _LazyRows(Sequence):
@@ -308,16 +287,6 @@ class _LazyRows(Sequence):
         if self._rows[k] is None:
             self._rows[k] = self._build(self._keys[k])
         return self._rows[k]
-
-
-def _scalar_rows(mons: Sequence[Monomial], elems: Sequence, algebra: Ring) -> Sequence[list]:
-    """_span_vectors on a scalar algebra, as rows built on demand: the row of
-    m is [prod_i pw[i][m_i]], read off the power table pw[i][e] = a_i^e,
-    e <= maxdeg, and multiplied in the algebra."""
-    maxdeg = max(m.degree for m in mons)
-    one = algebra.one()
-    powers = [list(accumulate(repeat(a, maxdeg), algebra.mul, initial=one)) for a in elems]
-    return _LazyRows(mons, lambda m: [reduce(algebra.mul, map(getitem, powers, m.vector), one)])
 
 
 def _multisets(size: int, count: int) -> int:
@@ -344,19 +313,21 @@ def _packed_vectors(
     the denominators; over GF(p) the coefficients are lifted to [0, p)),
     packed as one int with x^v at bit B * idx(v), where idx is mixed-radix
     with radix maxdeg * (largest x_j-degree of the elements) + 1 for x_j.
-    The row of m is read off prod_i pw[i][m_i] from the power table
-    pw[i][e] = a'_i^e, e <= maxdeg.  B is rounded up to whole bytes and the
-    signed slots are decoded with a bias of 2^(B-1), only at the columns;
-    a slot is then reduced mod p over GF(p) and divided by prod d_i^e_i
-    over QQ.  The columns are the cells of the Minkowski support, the
-    support of (1 + s_1 + ... + s_n)^maxdeg with s_i the packed 0/1
-    indicator of supp(a'_i) (its slots fit (1 + sum |supp a'_i|)^maxdeg):
-    every value's support lies in it, but a coefficient that cancels, or
-    vanishes mod p, can leave a column zero in every row.  Every product
-    spans the whole box, which can hold about nvars! times as many slots as
-    the degree simplex, or far more than a product of few terms has; so a
-    box of more than _BOX_PER_TERM slots per term that the largest value
-    can have is not packed.
+    The row of m is read off the packed m(a') from _power_products.  B is
+    bitlen(N^maxdeg) + 2, N the largest l1 norm of the a'_i: |coefficient of
+    m(a')| <= prod ||a'_i||_1^e_i <= N^maxdeg, since ||fg||_1 <= ||f||_1
+    ||g||_1.  B is rounded up to whole bytes and the signed slots are
+    decoded with a bias of 2^(B-1), only at the columns; a slot is then
+    reduced mod p over GF(p) and divided by prod d_i^e_i over QQ.  The
+    columns are the cells of the Minkowski support, the support of
+    (1 + s_1 + ... + s_n)^maxdeg with s_i the packed 0/1 indicator of
+    supp(a'_i) (its slots fit (1 + sum |supp a'_i|)^maxdeg): every value's
+    support lies in it, but a coefficient that cancels, or vanishes mod p,
+    can leave a column zero in every row.  Every product spans the whole
+    box, which can hold about nvars! times as many slots as the degree
+    simplex, or far more than a product of few terms has; so a box of more
+    than _BOX_PER_TERM slots per term that the largest value can have is
+    not packed.
     """
     maxdeg = max(m.degree for m in mons)
     modulus = base.modulus if isinstance(base, ModularRing) else None
@@ -395,13 +366,12 @@ def _packed_vectors(
         k = sum(map(mul, c.vector, weights))
         if any(marks[ind * k : ind * (k + 1)]):
             offsets.append(width * k)
-    powers = [list(accumulate(repeat(pack(lift, width), maxdeg), mul, initial=1)) for lift in lifts]
+    packed = _power_products([pack(lift, width) for lift in lifts], maxdeg, mul, 1)
     half = 1 << (8 * width - 1)
     bias = half * (((1 << 8 * width * slots) - 1) // ((1 << 8 * width) - 1))
 
     def row(m: Monomial) -> list:
-        value = math.prod(map(getitem, powers, m.vector))
-        buf = (value + bias).to_bytes(width * slots, "little")
+        buf = (packed(m) + bias).to_bytes(width * slots, "little")
         vec = [int.from_bytes(buf[k : k + width], "little") - half for k in offsets]
         if modulus:
             vec = [c % modulus for c in vec]
@@ -441,8 +411,7 @@ def search_submonic_relation(
     mons = _candidates(n, maxdeg, ordering)
     algebra, scalars = config.algebra, config.scalars
     if scalars is None:
-        values = _evaluate_monomials(mons, elems, algebra)
-        items = [values[m] for m in mons]
+        items = _LazyRows(mons, _power_products(elems, maxdeg, algebra.mul, algebra.one()))
         structure = GroebnerBasis(GrevLex(), algebra.poly_ring.base)
         for rel in algebra.relations:
             structure.add(rel)

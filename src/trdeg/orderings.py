@@ -267,6 +267,8 @@ def ordering_from_text(text: str) -> MonomialOrdering:
     ":x2>x1"; "wlex:2,3" with positive rational weights (optional priority as
     a second suffix); "matrix:[[1,1],[1,0]]" with rational entries.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"an ordering is text, not {type(text).__name__}", 0)
     s = text.strip()
     m = re.fullmatch(r"(lex|grlex|grevlex)(?::([xX\d>\s]+))?", s)
     if m:
@@ -286,9 +288,12 @@ def ordering_from_text(text: str) -> MonomialOrdering:
     m = re.fullmatch(r"matrix:\[(.*)\]", s)
     if m:
         body = m.group(1)
-        rows = re.findall(r"\[([^\[\]]*)\]", body)
+        row = r"\[([^\[\]]*)\]"
+        rows = re.findall(row, body)
         if not rows:
             raise ParseError(f"no rows in {text!r}", 0)
+        if not re.fullmatch(r"[\s,]*", re.sub(row, "", body)):
+            raise ParseError(f"text outside the rows of {text!r}", 0)
         try:
             parsed = [[Fraction(x.strip()) for x in row.split(",")] for row in rows]
             return MatrixOrder(parsed)

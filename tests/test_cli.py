@@ -328,6 +328,8 @@ class TestVerify:
             ('"poly"', "expected a JSON object, not str"),
             ('{"poly": 5, "ring": "ZZ", "coeff_ring": "ZZ", "ordering": "lex", "elements": []}',
              "'int' object is not iterable"),
+            ('{"poly": [], "ring": "ZZ", "coeff_ring": "ZZ", "ordering": 5, "elements": []}',
+             "an ordering is text, not int (at position 0)"),
         ],
     )
     def test_malformed_certificate(self, capsys, tmp_path, text, detail):

@@ -868,6 +868,64 @@ class TestIdealSweep:
         assert _per_candidate_ideal_search(cfg, elems, GrevLex(), 4) == (None, None)
 
 
+class TestIdealRouteValues:
+    """The ideal route reads each value off the power table the first time
+    the sweep or the cofactor solve asks for it; it equals the value built
+    by repeated multiplication."""
+
+    @staticmethod
+    def _element(rng, ring):
+        """One or two terms of degree at most 2 in the ring's variables."""
+        nvars = ring.poly_ring.nvars
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            x, y = (rng.choice([ONE, Monomial.var(rng.randint(1, nvars))]) for _ in range(2))
+            terms[x * y] = rng.choice([-2, -1, 1, 2])
+        return ring.reduce(Polynomial(QQ, terms))
+
+    @pytest.mark.parametrize("ring_text", ["Poly(QQ; x,y,z)", "Quot(Poly(QQ; x,y); [x*y])"])
+    def test_values_match_repeated_multiplication(self, monkeypatch, ring_text):
+        ring = parse_ring_text(ring_text)
+        cfg = AlgebraConfig(ring, ring)
+        built, added = [], []
+
+        class Counting(dependence._LazyRows):
+            def __init__(self, keys, build):
+                super().__init__(keys, lambda mon: built.append((mon, build(mon))) or built[-1][1])
+
+        class Recording(GroebnerBasis):
+            def add(self, p):
+                added.append(p)
+                return super().add(p)
+
+        monkeypatch.setattr(dependence, "_LazyRows", Counting)
+        monkeypatch.setattr(dependence, "GroebnerBasis", Recording)
+        rng = random.Random(f"ideal values {ring_text}")
+        verdicts = {"dependent": 0, "none": 0}
+        for _ in range(30):
+            arity = rng.randint(1, 3)
+            maxdeg = rng.randint(1, 3 if arity < 3 else 2)
+            ordering = rng.choice([GrevLex(), Lex()])
+            elems = tuple(self._element(rng, ring) for _ in range(arity))
+            built.clear()
+            added.clear()
+            verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
+            mons = ordering.sort(monomials_up_to_degree(arity, maxdeg))
+            want = dict(zip(mons, _monomial_values(ring, elems, mons)))
+            built_mons = [mon for mon, _ in built]
+            # The sweep adds values greatest first, after the ring's relations,
+            # and reads them all unless the ideal is full, when the hit is 1
+            # and the cofactor solve reads the rest: every value is built,
+            # once, and equals the reference.
+            swept = added[len(ring.relations) :]
+            assert built_mons[: len(swept)] == mons[: -len(swept) - 1 : -1]
+            assert swept == [want[mon] for mon in built_mons[: len(swept)]]
+            assert len(built_mons) == len(set(built_mons)) == len(mons)
+            assert all(value == want[mon] for mon, value in built)
+            verdicts["dependent" if isinstance(verdict, Dependent) else "none"] += 1
+        assert min(verdicts.values()) >= 3, verdicts
+
+
 class TestIdealSearchCost:
     """A tracked (cofactor) basis is built only for the hit."""
 

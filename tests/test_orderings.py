@@ -285,6 +285,6 @@ class TestOrderingText:
 
     def test_errors(self):
         for bad in ["", "lexx", "lex:y1", "wlex:", "wlex:0,1", "wlex:-1,2",
-                    "matrix:[]", "matrix:[[1,2],[2,4]]"]:
+                    "matrix:[]", "matrix:[[1,2],[2,4]]", "matrix:[[1,0]junk[0,1]]"]:
             with pytest.raises(ParseError):
                 ordering_from_text(bad)

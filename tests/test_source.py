@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import trdeg
@@ -155,3 +156,37 @@ def test_benchmark_tracing_hooks_find_their_targets():
     finally:
         tracer.uninstall()
     assert trdeg.dependence.search_submonic_relation is search
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package.  It is
+    in sys.modules while it runs, where its dataclasses look themselves up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_targets_resolve_in_trdeg():
+    # The benchmark calls trdeg through workloads.ENTRIES and times its layers
+    # through tracing.HOOKS; every target must name a callable of the package.
+    tracing, workloads = _perfbench_module("tracing"), _perfbench_module("workloads")
+    targets = [(module, target) for _, _, module, target, _ in tracing.HOOKS]
+    targets += [(f"trdeg.{module}", func) for module, func in workloads.ENTRIES.values()]
+    assert tracing.HOOKS and workloads.ENTRIES
+    missing = []
+    for module, target in targets:
+        try:
+            owner = importlib.import_module(module)
+        except ImportError:
+            owner = None
+        for attr in target.split("."):
+            owner = getattr(owner, attr, None)
+        if module.split(".")[0] != "trdeg" or not callable(owner):
+            missing.append(f"{module}.{target}")
+    assert missing == []
