@@ -12,9 +12,10 @@ whole ring.  One search body serves both routes: a reverse sweep
 whether the item is already in the span, and stops as soon as the greater
 values span everything, since 1 is then the hit.  The span route adds the
 values' vectors to span_structure and solves for the hit on prefixes of the
-greater vectors; the ideal route adds the values to one growing GroebnerBasis
-seeded with the algebra's relations (a value is a member exactly when its
-normal form is zero) and takes the hit's cofactors from ideal_cofactors.
+greater vectors (over Z/n the sweep's lattice records the hit's coefficients
+instead); the ideal route adds the values to one growing GroebnerBasis seeded
+with the algebra's relations (a value is a member exactly when its normal
+form is zero) and takes the hit's cofactors from ideal_cofactors.
 
 Every route reads a candidate's value off one table of the elements'
 powers (_power_products), when the sweep or the solve first reads it,
@@ -43,7 +44,7 @@ from typing import Callable, Optional, Union
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import GroebnerBasis, ideal_cofactors
 from .intmath import ext_gcd
-from .linalg import solve_in_span, span_structure
+from .linalg import IntLattice, solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
 from .orderings import GrevLex, Lex, MonomialOrdering, ordering_from_text
 from .parsing import parse_elem, parse_ring_text
@@ -423,14 +424,21 @@ def search_submonic_relation(
     if hit is None:
         return NoRelationUpTo(maxdeg)
 
+    greater = mons[hit + 1 :]
     if scalars is None:
         coeffs = ideal_cofactors(items[hit], items[hit + 1 :], algebra)
+    elif isinstance(structure, IntLattice) and structure.modulus:
+        # Z/n: the lattice kept the hit's coefficients over the values added
+        # before it, greatest first.  A sweep stopped at is_full lacks items[0].
+        if structure.adds < len(items):
+            structure.add(items[0])
+        greater, coeffs = reversed(mons), structure.member
     else:
         coeffs = _solve_on_prefixes(items, hit, scalars)
     if coeffs is None:
         raise InternalInconsistencyError("the sweep disagreed with the solver")
     r = config.coeff_ring
-    terms = {mons[hit]: r.one()} | {s: r.neg(c) for s, c in zip(mons[hit + 1 :], coeffs)}
+    terms = {mons[hit]: r.one()} | {s: r.neg(c) for s, c in zip(greater, coeffs) if c}
     cert = SubmonicCertificate(
         config=config,
         elements=elems,
@@ -469,10 +477,9 @@ def _solve_on_prefixes(items: Sequence[list], hit: int, scalars: Ring) -> Option
     # monomials past the prefix (coefficient 0).  Over ZZ any spanning prefix
     # gives a relation, and a short one has far smaller coefficients.  Over a
     # field every spanning prefix gives the same coefficients as all of them.
-    # Z/n solves on all.  Only the rows of the prefixes are read.
-    total = len(items) - hit - 1
-    size = total if not scalars.is_field and scalars != ZZ else 1
-    coeffs = solve_in_span(items[hit], items[hit + 1 : hit + 1 + size], scalars)
+    # Only the rows of the prefixes are read.  Z/n does not solve at all.
+    total, size = len(items) - hit - 1, 1
+    coeffs = solve_in_span(items[hit], items[hit + 1 : hit + 2], scalars)
     while coeffs is None and size < total:
         size = min(2 * size, total)
         coeffs = solve_in_span(items[hit], items[hit + 1 : hit + 1 + size], scalars)

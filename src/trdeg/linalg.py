@@ -11,13 +11,14 @@ Z/n lifts to ZZ with explicit modulus rows.  The Hermite form is computed
 with a log of its row operations (swap, negate, subtract a multiple of
 another row).  hnf replays the log on the identity to build the unimodular
 transform; the span solver replays it backwards onto one coefficient vector
-and never builds the transform; IntLattice keeps only the form itself.
+and never builds the transform; IntLattice keeps the form itself, and over
+Z/n replays each log on its rows' combinations of the vectors added.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import UnsupportedConfigError
 from .intmath import modinv
@@ -87,15 +88,21 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     h, ops = _hnf_ops(rows)
     m = len(h)
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    _replay(ops, u, lambda a, k, b: [x - k * y for x, y in zip(a, b)])
+    return h, u
+
+
+def _replay(ops: Sequence[tuple], rows: list, sub: Callable) -> None:
+    """Apply a log of _hnf_ops to rows in place, sub(a, k, b) being a - k * b
+    (so a negation is sub(a, 2, a))."""
     for op in ops:
         if op[0] == "swap":
-            u[op[1]], u[op[2]] = u[op[2]], u[op[1]]
+            rows[op[1]], rows[op[2]] = rows[op[2]], rows[op[1]]
         elif op[0] == "neg":
-            u[op[1]] = [-x for x in u[op[1]]]
+            rows[op[1]] = sub(rows[op[1]], 2, rows[op[1]])
         else:
             _, i, r, k = op
-            u[i] = [a - k * b for a, b in zip(u[i], u[r])]
-    return h, u
+            rows[i] = sub(rows[i], k, rows[r])
 
 
 def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> Optional[list]:
@@ -194,23 +201,45 @@ class IntLattice:
     """Incremental integer row span, kept as the nonzero rows of its Hermite form.
 
     Membership is the pivot-quotient walk.  add() reports whether the vector
-    was already in the span before insertion.
+    was already in the span before insertion.  With a modulus n the lattice
+    starts from the modulus rows, so add() answers membership modulo n, and
+    each row keeps its combination mod n of the vectors added so far (add
+    index -> coefficient; a modulus row is 0 mod n), which a non-member add
+    updates by replaying the log of _hnf_ops.  Over ZZ they would blow up.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, modulus: int = 0):
         self.dim = dim
-        self.rows: list[list[int]] = []
+        self.modulus = modulus
+        self.rows: list[list[int]] = _modulus_rows(modulus, dim) if modulus else []
+        self.combos: list[dict[int, int]] = [{} for _ in self.rows]
+        self.adds = 0
+        self._member: tuple = 0, [], []
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns True when it already belonged to the span."""
         v = list(vec)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        if _pivot_quotients(self.rows, v) is not None:
+        t, self.adds = self.adds, self.adds + 1
+        w = _pivot_quotients(self.rows, v)
+        if w is not None:
+            self._member = t, w, self.combos
             return True
-        h, _ = _hnf_ops(self.rows + [v])
+        h, ops = _hnf_ops(self.rows + [v])
+        if n := self.modulus:
+            combos = self.combos + [{t: 1}]
+            _replay(ops, combos, lambda a, k, b: {j: (a.get(j, 0) - k * b.get(j, 0)) % n for j in a | b})
+            self.combos = [c for row, c in zip(h, combos) if any(row)]
         self.rows = [row for row in h if any(row)]
         return False
+
+    @property
+    def member(self) -> list[int]:
+        """Over Z/n, the last member add's coefficients in range(n) over the
+        adds before it: its pivot quotients times the rows' combinations."""
+        t, w, combos = self._member
+        return [sum(q * c.get(j, 0) for q, c in zip(w, combos)) % self.modulus for j in range(t)]
 
     def is_full(self) -> bool:
         """Span is ZZ^dim: the Hermite form is the identity (full rank is not enough)."""
@@ -302,14 +331,12 @@ def span_structure(scalars: Ring, dim: int) -> Union[IntLattice, FieldEchelon]:
 
     Dispatches like solve_in_span: ZZ gives an IntLattice, a field a
     FieldEchelon, and Z/n an IntLattice seeded with the modulus rows, so that
-    add() answers membership modulo n.
+    add() answers membership modulo n and member holds a member's coefficients.
     """
     if isinstance(scalars, IntegerRing):
         return IntLattice(dim)
     if scalars.is_field:
         return FieldEchelon(dim, scalars)
     if isinstance(scalars, ModularRing):
-        lattice = IntLattice(dim)
-        lattice.rows = _modulus_rows(scalars.modulus, dim)
-        return lattice
+        return IntLattice(dim, scalars.modulus)
     raise UnsupportedConfigError(f"no span structure over {scalars}")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from propcheck import check_plain_eval, checked_completions
-from trdeg import dependence, groebner
+from trdeg import dependence, groebner, linalg
 from trdeg.dependence import (
     AlgebraConfig,
     Dependent,
@@ -764,6 +764,96 @@ class TestLeastMember:
                     assert expected == 0
                 assert len(adds) == len(vecs) - (full_from or 0)
         assert min(stops.values()) >= 5, stops
+
+
+class TestZmodLatticeCoefficients:
+    """Over Z/n the sweep's lattice records the hit's coefficients: the search
+    solves nothing and builds no row past the sweep's stop."""
+
+    CONFIGS = [(f"Zmod({n})", f"Zmod({n})") for n in (6, 8, 12, 30)]
+    CONFIGS += [("ZZ", f"Zmod({n})") for n in (12, 30)]
+
+    def test_no_solve_no_unread_rows(self, monkeypatch):
+        built, adds = [], []
+
+        class Counting(dependence._LazyRows):
+            def __init__(self, keys, build):
+                super().__init__(keys, lambda mon: built.append(mon) or build(mon))
+
+        def counting(scalars, dim):
+            span = span_structure(scalars, dim)
+            span.add = lambda vec, add=span.add: adds.append(vec) or add(vec)
+            return span
+
+        def refuse(target, gens, scalars):
+            raise AssertionError("solve_in_span called")
+
+        monkeypatch.setattr(dependence, "_LazyRows", Counting)
+        monkeypatch.setattr(dependence, "span_structure", counting)
+        monkeypatch.setattr(dependence, "solve_in_span", refuse)
+        rng = random.Random("zmod lattice coefficients")
+        stops = {"unit": 0, "partway": 0, "none": 0}
+        for coeff, alg in self.CONFIGS:
+            cfg = AlgebraConfig(parse_ring_text(coeff), parse_ring_text(alg))
+            n = cfg.algebra.modulus
+            cases = [((a,), Lex(), n + 1) for a in range(n)]
+            cases += [
+                (tuple(rng.randrange(n) for _ in range(2)), rng.choice([Lex(), GrevLex()]), rng.randint(1, 3))
+                for _ in range(15)
+            ]
+            for elems, ordering, maxdeg in cases:
+                built.clear()
+                adds.clear()
+                verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
+                mons = ordering.sort(monomials_up_to_degree(len(elems), maxdeg))
+                vecs = _span_vectors(cfg, elems, mons)
+                expected = next(
+                    (
+                        i
+                        for i in range(len(vecs))
+                        if solve_in_span(vecs[i], vecs[i + 1 :], cfg.scalars) is not None
+                    ),
+                    None,
+                )
+                full_from = next(
+                    (i for i in range(len(vecs) - 1, 0, -1) if _spans_everything(vecs[i:], cfg.scalars, 1)),
+                    None,
+                )
+                if full_from is None:
+                    # The sweep reads every row, greatest first.
+                    assert built == list(mons[::-1])
+                else:
+                    # It stops at full_from, and the search adds only items[0].
+                    assert built == list(mons[: full_from - 1 : -1]) + [mons[0]]
+                assert adds == [vecs[mons.index(mon)] for mon in built]
+                if math.gcd(elems[0], n) == 1 and len(elems) == 1:
+                    stops["unit"] += 1
+                    assert len(built) == 2
+                else:
+                    stops["none" if full_from is None else "partway"] += 1
+                if expected is None:
+                    assert verdict == NoRelationUpTo(maxdeg)
+                    continue
+                cert = verdict.certificate
+                assert cert.trailing == mons[expected]
+                assert check_certificate(cert) is None and cert.verified
+        assert min(stops.values()) >= 5, stops
+
+    def test_sweep_adds_go_through_the_class_method(self, monkeypatch):
+        # perfbench's tracer times the linalg.lattice_add layer by wrapping
+        # IntLattice.add on the class, so the Z/n search must call it there,
+        # the extra add after a stop at is_full included.
+        calls = []
+        add = linalg.IntLattice.add
+        monkeypatch.setattr(
+            linalg.IntLattice, "add", lambda self, vec: calls.append(list(vec)) or add(self, vec)
+        )
+        cfg = AlgebraConfig(ModularRing(6), ModularRing(6))
+        search_submonic_relation(cfg, (2,), Lex(), 3)
+        assert calls == [[2], [4], [2], [1]]
+        calls.clear()
+        search_submonic_relation(cfg, (5,), Lex(), 3)
+        assert calls == [[5], [1]]
 
 
 def _per_candidate_ideal_search(cfg, elems, ordering, maxdeg):

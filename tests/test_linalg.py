@@ -226,6 +226,32 @@ class TestIncremental:
                 seen.append(v)
                 assert lat.rows == [row for row in hnf(base + seen)[0] if any(row)]
 
+    @pytest.mark.parametrize("n", [4, 6, 9, 12, 30])
+    def test_residue_lattice_records_member_combinations(self, n):
+        # Over Z/n a member add leaves its coefficients over the earlier adds,
+        # in add order, and they give the vector back mod n.
+        rng = random.Random(f"member combinations {n}")
+        members = 0
+        for _ in range(60):
+            dim = rng.randint(1, 3)
+            lat = span_structure(ModularRing(n), dim)
+            seen = []
+            for _ in range(rng.randint(1, 10)):
+                if seen and rng.random() < 0.4:
+                    picked = [rng.randrange(n) for _ in seen]
+                    v = [sum(c * g[i] for c, g in zip(picked, seen)) % n for i in range(dim)]
+                else:
+                    v = [rng.randrange(n) for _ in range(dim)]
+                if lat.add(v):
+                    members += 1
+                    coeffs = lat.member
+                    assert len(coeffs) == len(seen)
+                    assert all(c in range(n) for c in coeffs)
+                    total = [sum(c * g[i] for c, g in zip(coeffs, seen)) % n for i in range(dim)]
+                    assert total == v
+                seen.append(v)
+        assert members >= 50
+
     def test_int_lattice_gcd_saturation(self):
         lat = IntLattice(3)
         assert lat.add([0, 0, 0]) is True
