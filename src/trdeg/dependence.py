@@ -393,11 +393,17 @@ def search_submonic_relation(
     Deterministic: candidates are scanned in increasing ordering position, and
     the coefficient extraction is exact.  Raises ResourceCapExceeded when the
     candidate count math.comb(maxdeg + n, n) exceeds TRDEG_MONOMIAL_CAP, which
-    is a distinct outcome from NoRelationUpTo.
+    is a distinct outcome from NoRelationUpTo.  An element of a QuotRing must
+    be in normal form, since the candidates' values are built from it as is.
     """
     elems = tuple(elems)
     if not elems:
         raise ValueError("need at least one element")
+    algebra, scalars = config.algebra, config.scalars
+    if isinstance(algebra, QuotRing):
+        for e in elems:
+            if algebra.reduce(e) != e:
+                raise UnsupportedConfigError(f"{algebra.format_elem(e)} is not in normal form in {algebra}")
     if maxdeg < 0:
         raise ValueError("degree bound must be nonnegative")
     n = len(elems)
@@ -410,7 +416,6 @@ def search_submonic_relation(
         )
 
     mons = _candidates(n, maxdeg, ordering)
-    algebra, scalars = config.algebra, config.scalars
     if scalars is None:
         items = _LazyRows(mons, _power_products(elems, maxdeg, algebra.mul, algebra.one()))
         structure = GroebnerBasis(GrevLex(), algebra.poly_ring.base)

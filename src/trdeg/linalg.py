@@ -1,27 +1,24 @@
 """Exact linear algebra over ZZ, QQ, GF(p) and Z/n.
 
-Everything here is deterministic and exact.  One row-style Hermite
-elimination, _hnf_ops, serves every integer need: hnf, the span solve and
-the incremental lattice.  One field elimination, FieldEchelon, serves every
-field need: span membership, and the span solve on the transposed system.
-Its rows are plain ints, residues mod p over GF(p) and primitive integer
-multiples of the reduced-echelon rows over QQ, so Fractions appear only in
+Everything here is deterministic and exact.  _hnf_ops, a row-style Hermite
+elimination with a log of its row operations, serves hnf, which replays the
+log on the identity, and the integer span solve, which replays it backwards
+onto one coefficient vector; Z/n lifts to ZZ with modulus rows.  IntLattice,
+the incremental lattice, keeps a triangular basis instead and inserts each
+vector with one walk over its columns.  FieldEchelon, the one field
+elimination, serves span membership and the span solve on the transposed
+system.  Its rows are plain ints (residues mod p, or primitive integer
+multiples of the reduced-echelon rows over QQ), so Fractions appear only in
 a solve's answer, each coefficient the ratio of two row entries.
-Z/n lifts to ZZ with explicit modulus rows.  The Hermite form is computed
-with a log of its row operations (swap, negate, subtract a multiple of
-another row).  hnf replays the log on the identity to build the unimodular
-transform; the span solver replays it backwards onto one coefficient vector
-and never builds the transform; IntLattice keeps the form itself, and over
-Z/n replays each log on its rows' combinations of the vectors added.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import UnsupportedConfigError
-from .intmath import modinv
+from .intmath import ext_gcd, modinv
 from .rings import IntegerRing, ModularRing, Ring
 
 
@@ -88,21 +85,15 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     h, ops = _hnf_ops(rows)
     m = len(h)
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    _replay(ops, u, lambda a, k, b: [x - k * y for x, y in zip(a, b)])
-    return h, u
-
-
-def _replay(ops: Sequence[tuple], rows: list, sub: Callable) -> None:
-    """Apply a log of _hnf_ops to rows in place, sub(a, k, b) being a - k * b
-    (so a negation is sub(a, 2, a))."""
     for op in ops:
         if op[0] == "swap":
-            rows[op[1]], rows[op[2]] = rows[op[2]], rows[op[1]]
+            u[op[1]], u[op[2]] = u[op[2]], u[op[1]]
         elif op[0] == "neg":
-            rows[op[1]] = sub(rows[op[1]], 2, rows[op[1]])
+            u[op[1]] = [-x for x in u[op[1]]]
         else:
             _, i, r, k = op
-            rows[i] = sub(rows[i], k, rows[r])
+            u[i] = [x - k * y for x, y in zip(u[i], u[r])]
+    return h, u
 
 
 def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> Optional[list]:
@@ -125,31 +116,20 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
     raise UnsupportedConfigError(f"no span solver over {scalars}")
 
 
-def _pivot_quotients(h: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
-    """Quotients w with sum(w_k * h_k) == target for h in row Hermite form.
-
-    None when target is outside the row span of h: some pivot does not divide
-    what is left in its column, or something is left past the last pivot.
-    """
-    y = list(target)
-    w = [0] * len(h)
-    for k, row in enumerate(h):
-        pivot_col = next((j for j, x in enumerate(row) if x != 0), None)
-        if pivot_col is None:
-            continue
-        if y[pivot_col] % row[pivot_col] != 0:
-            return None
-        q = y[pivot_col] // row[pivot_col]
-        if q:
-            y = [a - q * b for a, b in zip(y, row)]
-        w[k] = q
-    return None if any(y) else w
-
-
 def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
     h, ops = _hnf_ops(gens)
-    w = _pivot_quotients(h, target)
-    if w is None:
+    # Pivot quotients w with sum(w_k * h_k) == target, or None: a pivot does
+    # not divide what is left in its column, or something is left at the end.
+    y, w = target, [0] * len(h)
+    for k, row in enumerate(h):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break  # zero rows sink to the bottom
+        if y[c] % row[c]:
+            return None
+        w[k] = q = y[c] // row[c]
+        y = [a - q * b for a, b in zip(y, row)] if q else y
+    if any(y):
         return None
     # The coefficients are w^T U for H = U * gens.  U is the log's row
     # operations applied in order, so w^T U applies their transposes to w
@@ -198,23 +178,29 @@ def _modulus_rows(n: int, dim: int) -> list[list[int]]:
 
 
 class IntLattice:
-    """Incremental integer row span, kept as the nonzero rows of its Hermite form.
+    """Incremental integer row span, kept as a triangular basis.
 
-    Membership is the pivot-quotient walk.  add() reports whether the vector
-    was already in the span before insertion.  With a modulus n the lattice
-    starts from the modulus rows, so add() answers membership modulo n, and
-    each row keeps its combination mod n of the vectors added so far (add
-    index -> coefficient; a modulus row is 0 mod n), which a non-member add
-    updates by replaying the log of _hnf_ops.  Over ZZ they would blow up.
+    rows maps each pivot column c to a row that is 0 left of c with row[c] > 0;
+    membership and is_full need no canonical (Hermite) basis.  add(v) walks
+    v's columns once: where a pivot divides v's entry it takes that multiple
+    of the row off v, elsewhere an extended-gcd step makes the row (a zero row
+    at a free column) the gcd row and carries v on with the column cleared.
+    A walk that changed no row found a member.  Otherwise, bottom-up, each
+    changed row is size-reduced against the rows below it, and each other row
+    above only at the changed pivots, or one that stays put (say at pivot 1)
+    would keep entries reduced against larger, older pivots.  Over Z/n the
+    lattice starts from the modulus rows, so add() answers membership mod n,
+    and the same steps update each row's combination mod n of the adds so far
+    (add index -> coefficient; 0 for a modulus row).  Over ZZ they blow up.
     """
 
     def __init__(self, dim: int, modulus: int = 0):
         self.dim = dim
         self.modulus = modulus
-        self.rows: list[list[int]] = _modulus_rows(modulus, dim) if modulus else []
-        self.combos: list[dict[int, int]] = [{} for _ in self.rows]
+        self.rows: dict[int, list[int]] = dict(enumerate(_modulus_rows(modulus, dim))) if modulus else {}
+        self.combos: dict[int, dict[int, int]] = {c: {} for c in self.rows}
         self.adds = 0
-        self._member: tuple = 0, [], []
+        self._member: tuple = 0, []
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns True when it already belonged to the span."""
@@ -222,28 +208,67 @@ class IntLattice:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         t, self.adds = self.adds, self.adds + 1
-        w = _pivot_quotients(self.rows, v)
-        if w is not None:
-            self._member = t, w, self.combos
+        rows, combos, n = self.rows, self.combos, self.modulus
+        # Over Z/n, v's combination of the adds as terms (k, combo), mixed only
+        # when a row takes it; combos' dicts are replaced, never changed.
+        cv = [(1, {t: 1})]
+        changed = []
+        for c in range(self.dim):
+            x = v[c]
+            if not x:
+                continue
+            row = rows.get(c) or [0] * self.dim
+            p = row[c]
+            if p and not x % p:
+                q = x // p
+                v = [y - q * r for y, r in zip(v, row)]
+                if n:
+                    cv.append((-q, combos[c]))
+                continue
+            # [s u; a -b] is unimodular and sends (row, v) to (gcd row, v with
+            # column c cleared).
+            g, s, u = ext_gcd(p, x)
+            a, b = x // g, p // g
+            rows[c], v = [s * r + u * y for r, y in zip(row, v)], [a * r - b * y for r, y in zip(row, v)]
+            if n:
+                cr = combos.get(c, {})
+                combos[c] = _mix([(s, cr)] + [(u * k, d) for k, d in cv], n)
+                cv = [(a, cr)] + [(-b * k, d) for k, d in cv]
+            changed.append(c)
+        if not changed:
+            self._member = t, cv
             return True
-        h, ops = _hnf_ops(self.rows + [v])
-        if n := self.modulus:
-            combos = self.combos + [{t: 1}]
-            _replay(ops, combos, lambda a, k, b: {j: (a.get(j, 0) - k * b.get(j, 0)) % n for j in a | b})
-            self.combos = [c for row, c in zip(h, combos) if any(row)]
-        self.rows = [row for row in h if any(row)]
+        pivots = sorted(rows)
+        for c in reversed(pivots[: pivots.index(changed[-1]) + 1]):
+            row = rows[c]
+            for d in pivots if c in changed else changed:
+                if d > c and (q := row[d] // rows[d][d]):
+                    row = [y - q * r for y, r in zip(row, rows[d])]
+                    if n:
+                        combos[c] = _mix([(1, combos[c]), (-q, combos[d])], n)
+            rows[c] = row
         return False
 
     @property
     def member(self) -> list[int]:
         """Over Z/n, the last member add's coefficients in range(n) over the
-        adds before it: its pivot quotients times the rows' combinations."""
-        t, w, combos = self._member
-        return [sum(q * c.get(j, 0) for q, c in zip(w, combos)) % self.modulus for j in range(t)]
+        adds before it: v minus its multiples of the rows is 0."""
+        t, cv = self._member
+        combo = _mix([(-k, d) for k, d in cv[1:]], self.modulus)
+        return [combo.get(j, 0) for j in range(t)]
 
     def is_full(self) -> bool:
-        """Span is ZZ^dim: the Hermite form is the identity (full rank is not enough)."""
-        return len(self.rows) == self.dim and all(row[k] == 1 for k, row in enumerate(self.rows))
+        """Span is ZZ^dim: dim rows and every pivot 1 (full rank is not enough)."""
+        return len(self.rows) == self.dim and all(row[c] == 1 for c, row in self.rows.items())
+
+
+def _mix(terms: Sequence[tuple[int, dict[int, int]]], n: int) -> dict[int, int]:
+    """The sum of k * combo over terms, mod n, as add index -> coefficient."""
+    out: dict[int, int] = {}
+    for k, combo in terms:
+        for j, x in combo.items():
+            out[j] = out.get(j, 0) + k * x
+    return {j: x % n for j, x in out.items()}
 
 
 class FieldEchelon:

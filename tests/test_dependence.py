@@ -231,6 +231,20 @@ class TestSearchOtherConfigs:
         assert isinstance(verdict, Dependent)
         assert verify_certificate(verdict.certificate)
 
+    @pytest.mark.parametrize("route", ["span", "ideal"])
+    def test_quotient_element_not_in_normal_form_is_refused(self, route):
+        # x*y is 1 in this ring; unreduced, the values built from it would
+        # not be normal forms, and the answer would depend on the spelling.
+        ring = parse_ring_text("Quot(Poly(QQ; x,y); [x*y - 1])")
+        cfg = AlgebraConfig(QQ if route == "span" else ring, ring)
+        xy = parse_elem("x*y", ring.poly_ring)
+        with pytest.raises(UnsupportedConfigError, match=r"x\*y is not in normal form in Quot\(Poly\(QQ; x,y\)"):
+            search_submonic_relation(cfg, (xy,), Lex(), 2)
+        # Reduced, the element is 1 and the relation is 1 - x1.
+        cert = search_submonic_relation(cfg, (parse_elem("x*y", ring),), Lex(), 2).certificate
+        r = cfg.coeff_ring
+        assert dict(cert.poly.terms) == {ONE: r.one(), m((1, 1)): r.from_int(-1)}
+
     def test_plain_field_single_element(self):
         cfg = AlgebraConfig(QQ, QQ)
         verdict = search_submonic_relation(cfg, (QQ.from_int(5),), Lex(), 1)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from propcheck import check_field_echelon_reference, check_hnf_postconditions, det
+from trdeg import linalg
 from trdeg.linalg import FieldEchelon, IntLattice, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
 
@@ -22,6 +23,18 @@ def assert_combination(coeffs, target, gens, ring):
         for i in range(n):
             total[i] = ring.add(total[i], ring.mul(c, g[i]))
     assert not any(ring.sub(total[i], target[i]) for i in range(n))
+
+
+def nonzero_hnf(rows):
+    return [row for row in hnf(rows)[0] if any(row)]
+
+
+def assert_triangular(lat):
+    """IntLattice's basis: one row per pivot column, zero left of its pivot,
+    positive pivot."""
+    for c, row in lat.rows.items():
+        assert len(row) == lat.dim
+        assert not any(row[:c]) and row[c] > 0, (c, row)
 
 
 class TestHNF:
@@ -196,9 +209,9 @@ class TestSolveInSpanZmod:
 
 class TestIncremental:
     def test_int_lattice_matches_solver(self):
-        # After every add the lattice holds the nonzero rows of the Hermite
-        # form of everything it has seen; over Z/n that includes the modulus
-        # rows n * e_j it starts from.
+        # After every add the lattice's rows span what it has seen (over Z/n
+        # that includes the modulus rows n * e_j it starts from): both have
+        # the same nonzero Hermite rows.  The rows stay a triangular basis.
         rng = random.Random(61)
         cases = [(ZZ, rng.randint(1, 5), 8) for _ in range(150)]
         cases += [(ZZ, rng.randint(1, 3), 60) for _ in range(50)]
@@ -224,7 +237,8 @@ class TestIncremental:
                 was_member = lat.add(v)
                 assert was_member == (solve_in_span(v, seen, ring) is not None)
                 seen.append(v)
-                assert lat.rows == [row for row in hnf(base + seen)[0] if any(row)]
+                assert nonzero_hnf(list(lat.rows.values())) == nonzero_hnf(base + seen)
+                assert_triangular(lat)
 
     @pytest.mark.parametrize("n", [4, 6, 9, 12, 30])
     def test_residue_lattice_records_member_combinations(self, n):
@@ -251,6 +265,52 @@ class TestIncremental:
                     assert total == v
                 seen.append(v)
         assert members >= 50
+
+    def test_int_lattice_entries_stay_near_the_hermite_form(self):
+        # The basis is not reduced to the Hermite form, but its entries must
+        # not grow past it: no entry is longer than twice the longest entry
+        # of hnf over the same vectors.  A lattice that skips the size
+        # reduction, or reduces only the rows that changed, fails within the
+        # first ten adds.
+        def longest(rows):
+            return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+        rng = random.Random(97)
+        for dim in range(2, 15):
+            for rank in range(1, dim + 1):
+                basis = [[rng.randint(-50, 50) for _ in range(dim)] for _ in range(rank)]
+                lat, seen = IntLattice(dim), []
+                for k in range(60):
+                    picked = [rng.randint(-40, 40) for _ in basis]
+                    seen.append([sum(c * b[i] for c, b in zip(picked, basis)) for i in range(dim)])
+                    lat.add(seen[-1])
+                    if k % 10 == 9:
+                        bound = 2 * longest(hnf(seen)[0])
+                        assert longest(lat.rows.values()) <= bound, (dim, rank, k)
+                assert_triangular(lat)
+
+    def test_int_lattice_add_runs_no_hermite_elimination(self, monkeypatch):
+        # add() inserts into its basis; rerunning _hnf_ops over the kept rows
+        # for every non-member is what it replaced, and must not come back.
+        def refuse(rows):
+            raise AssertionError("IntLattice.add called _hnf_ops")
+
+        monkeypatch.setattr(linalg, "_hnf_ops", refuse)
+        rng = random.Random(89)
+        members = 0
+        for n in (0, 2, 6, 12, 30):
+            for _ in range(30):
+                dim = rng.randint(1, 5)
+                lat, seen = IntLattice(dim, n), []
+                for _ in range(12):
+                    v = [rng.randint(-20, 20) for _ in range(dim)]
+                    v = [x % n for x in v] if n else v
+                    if lat.add(v) and n:
+                        members += 1
+                        total = [sum(c * g[i] for c, g in zip(lat.member, seen)) for i in range(dim)]
+                        assert [x % n for x in total] == v
+                    seen.append(v)
+        assert members >= 500
 
     def test_int_lattice_gcd_saturation(self):
         lat = IntLattice(3)
@@ -316,7 +376,7 @@ class TestIsFull:
         lat = IntLattice(2)
         lat.add([1, 0])
         lat.add([0, 2])
-        assert lat.rows == [[1, 0], [0, 2]]
+        assert lat.rows == {0: [1, 0], 1: [0, 2]}
         assert not lat.is_full()
         lat.add([1, 1])
         assert lat.is_full()
