@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified
+from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified, require_normal_forms
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import ideal_cofactors
 from .linalg import solve_in_span
@@ -98,7 +98,8 @@ def cl_search(
     ring: Ring, elems: Sequence, maxexp: int, cap: Optional[int] = None
 ) -> CLOutcome:
     """Least exponent vector (by total sum, then lexicographically) in the box
-    [0, maxexp]^n whose boundary-ideal membership holds, with coefficients."""
+    [0, maxexp]^n whose boundary-ideal membership holds, with coefficients.
+    An element of a QuotRing must be in normal form."""
     elems = tuple(elems)
     if not elems:
         raise ValueError("need at least one element")
@@ -112,6 +113,7 @@ def cl_search(
     if count > limit:
         raise ResourceCapExceeded(f"{count} exponent tuples exceed the cap {limit}")
     scalars = AlgebraConfig(ring, ring).scalars  # raises for an unsupported ring
+    require_normal_forms(ring, elems)
 
     for total in range(n * maxexp + 1):
         for exps in compositions(total, n):

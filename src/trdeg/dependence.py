@@ -400,10 +400,7 @@ def search_submonic_relation(
     if not elems:
         raise ValueError("need at least one element")
     algebra, scalars = config.algebra, config.scalars
-    if isinstance(algebra, QuotRing):
-        for e in elems:
-            if algebra.reduce(e) != e:
-                raise UnsupportedConfigError(f"{algebra.format_elem(e)} is not in normal form in {algebra}")
+    require_normal_forms(algebra, elems)
     if maxdeg < 0:
         raise ValueError("degree bound must be nonnegative")
     n = len(elems)
@@ -474,6 +471,15 @@ def _least_member(structure, items: Sequence) -> Optional[int]:
         elif i > 0 and structure.is_full():
             return 0
     return hit
+
+
+def require_normal_forms(ring: Ring, elems: Sequence) -> None:
+    """Raise UnsupportedConfigError unless every element of a QuotRing is in
+    normal form: the searches build values from the elements as they are."""
+    if isinstance(ring, QuotRing):
+        for e in elems:
+            if ring.reduce(e) != e:
+                raise UnsupportedConfigError(f"{ring.format_elem(e)} is not in normal form in {ring}")
 
 
 def _solve_on_prefixes(items: Sequence[list], hit: int, scalars: Ring) -> Optional[list]:

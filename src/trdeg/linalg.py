@@ -6,10 +6,11 @@ log on the identity, and the integer span solve, which replays it backwards
 onto one coefficient vector; Z/n lifts to ZZ with modulus rows.  IntLattice,
 the incremental lattice, keeps a triangular basis instead and inserts each
 vector with one walk over its columns.  FieldEchelon, the one field
-elimination, serves span membership and the span solve on the transposed
-system.  Its rows are plain ints (residues mod p, or primitive integer
-multiples of the reduced-echelon rows over QQ), so Fractions appear only in
-a solve's answer, each coefficient the ratio of two row entries.
+elimination, makes the same walk over an echelon form that is not reduced;
+it serves span membership and the span solve on the transposed system, which
+reads its coefficients by back substitution.  Its rows are plain ints
+(residues mod p, or primitive integer rows over QQ), so Fractions appear
+only in a solve's answer.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
     """Coefficients c with sum(c_i * gens_i) == target over the scalar ring.
 
     Returns None when target is outside the span.  Supported scalar rings:
-    ZZ (Hermite normal form route), any field (reduced echelon form), and
-    Z/n (lift to ZZ with modulus rows).  The answer is deterministic but not
-    unique in general.
+    ZZ (Hermite normal form route), any field (echelon form and back
+    substitution), and Z/n (lift to ZZ with modulus rows).  The answer is
+    deterministic but not unique in general.
     """
     dim = len(target)
     if any(len(g) != dim for g in gens):
@@ -146,21 +147,22 @@ def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
 
 
 def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
-    # Reduced echelon form of [G^T | target]: column j has a pivot exactly when
+    # Echelon form of [G^T | target]: column j has a pivot exactly when
     # gens[j] is independent of the earlier generators, and a pivot in the
-    # last column means target is outside the span.  Otherwise the last column
-    # of the reduced-echelon row with pivot j, row[k] / row[j] (FieldEchelon
-    # keeps a multiple of it), is the unique coefficient of gens[j]; the
-    # generators without a pivot get 0.
+    # last column means target is outside the span.  Otherwise the generators
+    # with a pivot have unique coefficients, read by back substitution from
+    # the last pivot up; the generators without a pivot get 0.
     k = len(gens)
     echelon = FieldEchelon(k + 1, field)
     for i, t in enumerate(target):
         echelon.add([g[i] for g in gens] + [t])
-    if k in echelon.rows:
+    rows = echelon.rows
+    if k in rows:
         return None
     coeffs = [field.zero()] * k
-    for j, row in echelon.rows.items():
-        coeffs[j] = field.div(row[k], row[j])
+    for j in sorted(rows, reverse=True):
+        row = rows[j]
+        coeffs[j] = field.div(row[k] - sum(row[l] * coeffs[l] for l in range(j + 1, k)), row[j])
     return coeffs
 
 
@@ -272,21 +274,20 @@ def _mix(terms: Sequence[tuple[int, dict[int, int]]], n: int) -> dict[int, int]:
 
 
 class FieldEchelon:
-    """Incremental reduced row echelon form over QQ or GF(p), on plain-int rows.
+    """Incremental row echelon form over QQ or GF(p), on plain-int rows.
 
-    rows maps each pivot column c to a row that is 0 in every other pivot
-    column, so reducing by the rows in any order gives the same result.
-    Each row is a nonzero multiple of its reduced-echelon row r (the one with
-    r[c] = 1), so r[k] = row[k] / row[c] in the field.  The multiple is fixed:
-      - GF(p): row = r itself, entries in range(p);
-      - QQ: row is the unique primitive integer multiple of r with
-        row[c] > 0.  add() clears the input's denominators, which leaves its
-        QQ-span alone, and eliminates without fractions (Bareiss, Math.
-        Comp. 1968): v = row[c]*v - v[c]*row, then divide by the gcd.
-    Both fields share the elimination loop and differ only in how
-    _eliminate and _normalise keep a row canonical.  This is the one field
-    elimination: the search adds the candidate values to test span
-    membership, and the span solve adds the rows of [G^T | target].
+    rows maps each pivot column c to a row that is 0 left of c; the form is
+    not reduced, and a stored row never changes.  Its multiple is fixed:
+      - GF(p): row[c] = 1, entries in range(p);
+      - QQ: row is primitive with row[c] > 0.  add() clears the input's
+        denominators, which leaves its QQ-span alone, and eliminates without
+        fractions (Bareiss, Math. Comp. 1968).
+    add(v) walks v's columns once, as IntLattice.add does: a zero entry is
+    skipped, at a pivot column v is eliminated by that row, and at the first
+    nonzero free column v is stored as that column's row.  A walk that stores
+    nothing found a member.  This is the one field elimination: the search
+    adds the candidate values to test span membership, and the span solve
+    adds the rows of [G^T | target].
     """
 
     def __init__(self, dim: int, field: Ring):
@@ -308,40 +309,28 @@ class FieldEchelon:
             d = lcm(*(x.denominator for x in vec))
             v = [x.numerator * (d // x.denominator) for x in vec]
         rows = self.rows
-        for c, row in rows.items():
-            if v[c]:
-                v = self._eliminate(v, row, c)
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            return True
-        v = self._normalise(v, lead)
-        for c, other in rows.items():
-            if other[lead]:
-                rows[c] = self._eliminate(other, v, lead)
-        rows[lead] = v
-        return False
-
-    def _eliminate(self, v: list[int], row: list[int], c: int) -> list[int]:
-        """row[c]*v - v[c]*row, which is 0 in column c, made mod p or primitive.
-
-        row[c] > 0, so the sign of every other pivot of v is kept.
-        """
-        s, f = row[c], v[c]
-        w = [s * a - f * b for a, b in zip(v, row)]
-        p = self._p
-        if p:
-            return [x % p for x in w]
-        g = gcd(*w)
-        return [x // g for x in w] if g > 1 else w
-
-    def _normalise(self, v: list[int], lead: int) -> list[int]:
-        """The stored multiple of v, whose first nonzero entry is v[lead]."""
-        p = self._p
-        if p:
-            inv = modinv(v[lead], p)
-            return [x * inv % p for x in v]
-        g = gcd(*v) if v[lead] > 0 else -gcd(*v)
-        return [x // g for x in v] if g != 1 else v
+        for c in range(self.dim):
+            f = v[c]
+            if not f:
+                continue
+            row = rows.get(c)
+            if row is None:
+                if p:
+                    inv = modinv(f, p)
+                    rows[c] = [x * inv % p for x in v]
+                else:
+                    g = gcd(*v) if f > 0 else -gcd(*v)
+                    rows[c] = [x // g for x in v]
+                return False
+            if p:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+            else:
+                # (row[c]*v - f*row) / gcd(row[c], f): only stored rows are
+                # made primitive.
+                g = gcd(row[c], f)
+                s, f = row[c] // g, f // g
+                v = [s * x - f * y for x, y in zip(v, row)]
+        return True
 
     @property
     def rank(self) -> int:

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from trdeg.dependence import (
     AlgebraConfig,
@@ -226,14 +227,30 @@ def reference_solve_field(target: list, gens: list[list], field: Ring):
     return coeffs
 
 
+def _reduced(rows: dict[int, list], field: Ring) -> dict[int, list]:
+    """The reduced row echelon form of echelon rows: each row divided by its
+    pivot, then the rows below taken off it at their pivot columns."""
+    out: dict[int, list] = {}
+    for c in sorted(rows, reverse=True):
+        r = [field.div(x, rows[c][c]) for x in rows[c]]
+        for d, below in out.items():
+            factor = r[d]
+            r = [field.sub(a, field.mul(factor, b)) for a, b in zip(r, below)]
+        out[c] = r
+    return out
+
+
 def check_field_echelon_reference(rng: random.Random, count: int) -> int:
     """FieldEchelon agrees with ReferenceFieldEchelon on random add sequences.
 
     Fields QQ (denominators 1-6), GF(2), GF(7) and GF(101); dims 1-6; the
     inputs mix random, zero and repeated vectors with combinations of earlier
-    ones.  After every add: the same member flag, rank and reduced rows
-    (FieldEchelon keeps a multiple, row / row[pivot]), and solve_in_span over
-    the field answers like the reference solve on the vectors so far.
+    ones.  After every add: the same member flag, rank and pivot columns;
+    each row is 0 left of its pivot and stored canonically (primitive with a
+    positive pivot over QQ, pivot 1 and entries in range(p) over GF(p)); the
+    rows, reduced here by back elimination, are the reference's reduced rows;
+    and solve_in_span over the field answers like the reference solve on the
+    vectors so far.
     """
     fields = [QQ, GF(2), GF(7), GF(101)]
     for _ in range(count):
@@ -267,10 +284,14 @@ def check_field_echelon_reference(rng: random.Random, count: int) -> int:
             assert echelon.add(v) == reference.add(v), "member flag"
             assert echelon.rank == reference.rank, "rank"
             seen.append(v)
-            reduced = {
-                c: [field.div(x, row[c]) for x in row] for c, row in echelon.rows.items()
-            }
-            assert reduced == reference.rows, "reduced rows"
+            assert echelon.rows.keys() == reference.rows.keys(), "pivot columns"
+            for c, row in echelon.rows.items():
+                assert not any(row[:c]), "zero left of the pivot"
+                if field is QQ:
+                    assert row[c] > 0 and gcd(*row) == 1, "primitive, positive pivot"
+                else:
+                    assert row[c] == 1 and all(0 <= x < field.modulus for x in row), "pivot 1"
+            assert _reduced(echelon.rows, field) == reference.rows, "reduced rows"
             target = combination(seen) if rng.random() < 0.5 else [scalar() for _ in range(dim)]
             assert solve_in_span(target, seen, field) == reference_solve_field(
                 target, seen, field

@@ -36,7 +36,7 @@ from trdeg.harness import ExperimentSpec, known_dim, run_experiment
 from trdeg.monomials import monomials_up_to_degree
 from trdeg.orderings import GrevLex, Lex, is_submonic, separating_weights
 from trdeg.parsing import parse_elem, parse_ring_text
-from trdeg.rings import QQ, ZZ, ModularRing, PolyRing
+from trdeg.rings import GF, QQ, ZZ, ModularRing, PolyRing
 
 ZZ_CFG = AlgebraConfig(ZZ, ZZ)
 
@@ -259,6 +259,12 @@ def test_seeded_rational_experiment_pinned():
     report = run_experiment(seed42_spec(QQ))
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == "9452e1ac3e908821519caca57c462e3692d07254507f6149b993f6ffb31de1d3"
+
+
+def test_seeded_gf_experiment_pinned():
+    report = run_experiment(seed42_spec(GF(7)))
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == "f7c5c9bed162703cb44778c82696e8c1a4013f3df8a8b722dfb21ddd89d5fad4"
 
 
 def test_criterion_8_property_suites(capsys):

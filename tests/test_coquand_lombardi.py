@@ -64,6 +64,19 @@ class TestSearch:
         assert cert.exponents == (1, 1)
         assert cert.coeffs == (ring.zero(), ring.zero())
 
+    def test_quotient_element_not_in_normal_form_is_refused(self):
+        # x*y is 1 in this ring; unreduced, the answer would depend on the
+        # spelling: exponents (0, 0) with coefficients (0, y), against
+        # coefficients (1, 0) for the reduced pair.
+        ring = parse_ring_text("Quot(Poly(QQ; x,y); [x*y - 1])")
+        x = parse_elem("x", ring)
+        xy = parse_elem("x*y", ring.poly_ring)
+        with pytest.raises(UnsupportedConfigError, match=r"x\*y is not in normal form in Quot\(Poly\(QQ; x,y\)"):
+            cl_search(ring, (xy, x), 2)
+        cert = cl_search(ring, (parse_elem("x*y", ring), x), 2)
+        assert cert.exponents == (0, 0)
+        assert cert.coeffs == (ring.one(), ring.zero())
+
     def test_cap(self):
         with pytest.raises(ResourceCapExceeded):
             cl_search(ZZ, (2, 3, 5), 100, cap=1000)

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from propcheck import check_field_echelon_reference, check_hnf_postconditions, det
+from propcheck import (
+    check_field_echelon_reference,
+    check_hnf_postconditions,
+    det,
+    reference_solve_field,
+)
 from trdeg import linalg
 from trdeg.linalg import FieldEchelon, IntLattice, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
@@ -166,6 +171,55 @@ class TestSolveInSpanField:
             QQ,
         )
         assert coeffs == [Fraction(1, 2), Fraction(0)]
+
+
+class TestFieldBackSubstitution:
+    """The field solve reads its coefficients off the unreduced echelon form
+    of [G^T | target] by back substitution."""
+
+    @pytest.mark.parametrize(
+        "ring, third", [(QQ, Fraction(1, 3)), (PrimeField(7), 5)], ids=["QQ", "GF(7)"]
+    )
+    def test_dependent_generator_gets_zero(self, ring, third):
+        # gens[1] = 2 * gens[0] has no pivot; 1/3 is 5 mod 7.
+        gens = [[ring.from_int(x) for x in g] for g in ([1, 0], [2, 0], [0, 3])]
+        target = [ring.one(), ring.one()]
+        coeffs = solve_in_span(target, gens, ring)
+        assert coeffs == [ring.one(), ring.zero(), third]
+        assert_combination(coeffs, target, gens, ring)
+
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    def test_sweep_shaped_systems_match_reference(self, ring):
+        # Dimension and generator count up to 13 and entries up to 20 bits,
+        # the shape of the experiment's solves; some generators and targets
+        # are combinations of others.
+        rng = random.Random(83)
+
+        def scalar():
+            x = rng.randint(-(1 << 20), 1 << 20)
+            return ring.from_int(x) if ring is QQ else x % ring.modulus
+
+        def combination(rows, dim):
+            out = [ring.zero()] * dim
+            for r in rows:
+                c = scalar()
+                out = [ring.add(a, ring.mul(c, b)) for a, b in zip(out, r)]
+            return out
+
+        outcomes = set()
+        for _ in range(200):
+            dim = rng.randint(1, 13)
+            gens = []
+            for _ in range(rng.randint(1, 13)):
+                if gens and rng.random() < 0.3:
+                    gens.append(combination(rng.sample(gens, rng.randint(1, len(gens))), dim))
+                else:
+                    gens.append([scalar() for _ in range(dim)])
+            target = combination(gens, dim) if rng.random() < 0.5 else [scalar() for _ in range(dim)]
+            got = solve_in_span(target, gens, ring)
+            assert got == reference_solve_field(target, gens, ring)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestSolveInSpanZmod:
@@ -352,13 +406,13 @@ class TestIncremental:
         assert check_field_echelon_reference(random.Random(71), 400) == 400
 
     def test_field_echelon_rows_are_primitive_over_qq(self):
-        # Reduced rows [1, 0, -5/3] and [0, 1, 5/2], kept as primitive integer
-        # multiples with positive pivots.
+        # Each input is stored as it arrives, as its primitive integer multiple
+        # with a positive pivot; the older row keeps its entry in column 1.
         ech = FieldEchelon(3, QQ)
         ech.add([Fraction(-1, 2), Fraction(-1, 3), Fraction(0)])
         assert ech.rows == {0: [3, 2, 0]}
         ech.add([Fraction(0), Fraction(1), Fraction(5, 2)])
-        assert ech.rows == {0: [3, 0, -5], 1: [0, 2, 5]}
+        assert ech.rows == {0: [3, 2, 0], 1: [0, 2, 5]}
 
 
 class TestIsFull:
