@@ -30,7 +30,6 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    ideal_membership,
     membership_cofactors,
     normal_form,
     staircase_dimension,
@@ -96,7 +95,6 @@ __all__ = [
     "eval_poly",
     "finite_ring_dim_lt",
     "hnf",
-    "ideal_membership",
     "is_submonic",
     "is_weight_graded",
     "known_dim",

@@ -111,14 +111,12 @@ def _cmd_member(args) -> int:
         raise TrdegError("membership needs a polynomial ring over a field")
     ordering = ordering_from_text(args.order)
     gens = [parse_elem(t, ring) for t in _split_elems(args.gens)]
-    # In a quotient the relations join the generators; their cofactors are dropped.
-    ideal = gens + list(ring.relations)
     target = parse_elem(args.elem, ring)
-    remainder, cof = reduce_with_cofactors(target, ideal, ordering, ring.poly_ring.base)
+    remainder, cof = reduce_with_cofactors(target, gens, ring, ordering)
     if cof is None:
         print(f"not a member; normal form {ring.format_elem(remainder)}")
         return 1
-    shown = [ring.format_elem(ring.reduce(c)) for c in cof[: len(gens)]]
+    shown = [ring.format_elem(c) for c in cof]
     if args.json:
         print(json.dumps({"member": True, "cofactors": shown}, indent=2))
     else:

@@ -21,10 +21,10 @@ from typing import Optional, Sequence, Union
 
 from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified, require_normal_forms
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from .groebner import ideal_cofactors
+from .groebner import membership_cofactors
 from .linalg import solve_in_span
 from .monomials import ONE, Monomial, compositions
-from .orderings import Lex
+from .orderings import GrevLex, Lex
 from .parsing import parse_elem, parse_ring_text
 from .polynomials import Polynomial
 from .rings import Ring
@@ -90,7 +90,7 @@ def _membership(ring: Ring, scalars: Optional[Ring], target, gens: list) -> Opti
     cofactors when scalars, AlgebraConfig(ring, ring).scalars, is None, else
     a 1-dimensional span solve over scalars."""
     if scalars is None:
-        return ideal_cofactors(target, gens, ring)
+        return membership_cofactors(target, gens, ring, GrevLex())
     return solve_in_span([target], [[g] for g in gens], scalars)
 
 

@@ -15,7 +15,7 @@ values' vectors to span_structure and solves for the hit on prefixes of the
 greater vectors (over Z/n the sweep's lattice records the hit's coefficients
 instead); the ideal route adds the values to one growing GroebnerBasis seeded
 with the algebra's relations (a value is a member exactly when its normal
-form is zero) and takes the hit's cofactors from ideal_cofactors.
+form is zero) and takes the hit's cofactors from membership_cofactors.
 
 Every route reads a candidate's value off one table of the elements'
 powers (_power_products), when the sweep or the solve first reads it,
@@ -42,7 +42,7 @@ from operator import getitem, mul
 from typing import Callable, Optional, Union
 
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
-from .groebner import GroebnerBasis, ideal_cofactors
+from .groebner import GroebnerBasis, membership_cofactors
 from .intmath import ext_gcd
 from .linalg import IntLattice, solve_in_span, span_structure
 from .monomials import Monomial, monomials_up_to_degree
@@ -76,7 +76,7 @@ class AlgebraConfig:
 
     Supported table, with the scalar ring the span search solves over:
       (a) R = A = ZZ                          ZZ: integer span
-      (b) R = A = Zmod(n)                     Zmod(n): residue span, lifted to ZZ
+      (b) R = A = Zmod(n)                     Zmod(n): residue span
       (c) R = ZZ, A = Poly(ZZ)                ZZ: integer span on coefficients
           R = ZZ, A = Zmod(n)                 Zmod(n): residue span
       (d) R = A = Poly(field) or R = A = Quot None: ideal membership with cofactors
@@ -428,7 +428,7 @@ def search_submonic_relation(
 
     greater = mons[hit + 1 :]
     if scalars is None:
-        coeffs = ideal_cofactors(items[hit], items[hit + 1 :], algebra)
+        coeffs = membership_cofactors(items[hit], items[hit + 1 :], algebra, GrevLex())
     elif isinstance(structure, IntLattice) and structure.modulus:
         # Z/n: the lattice kept the hit's coefficients over the values added
         # before it, greatest first.  A sweep stopped at is_full lacks items[0].

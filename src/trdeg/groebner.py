@@ -1,6 +1,10 @@
 """Buchberger's algorithm over field coefficients, with optional cofactor
 tracking so ideal membership can return an explicit witness.
 
+reduce_with_cofactors is the one tracked membership call, and
+membership_cofactors keeps only its cofactors; a quotient ring's relations
+join the generators there, and a PolyRing is its own quotient by none.
+
 GroebnerBasis is the one basis class and holds the one pair loop: append
 queues a generator's pairs and complete treats them.  buchberger appends
 every generator, completes once and reduces the basis in place; the ideal
@@ -39,7 +43,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError
 from .monomials import Monomial
-from .orderings import GrevLex, MonomialOrdering
+from .orderings import MonomialOrdering
 from .polynomials import Polynomial, leading_term
 
 
@@ -267,49 +271,41 @@ def _reduce_basis(basis: GroebnerBasis) -> None:
     basis._set_active(list(range(len(final))))
 
 
-def ideal_membership(f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field) -> bool:
-    return not normal_form(f, buchberger(gens, ordering, field))
-
-
 def membership_cofactors(
-    f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field
+    f: Polynomial, gens: Sequence[Polynomial], ring, ordering: MonomialOrdering
 ) -> Optional[list[Polynomial]]:
-    """Cofactors c with f == sum(c_k * gens_k), or None when f is outside."""
-    return reduce_with_cofactors(f, gens, ordering, field)[1]
+    """Cofactors c with f == sum(c_k * gens_k) in ring, or None when f is outside."""
+    return reduce_with_cofactors(f, gens, ring, ordering)[1]
 
 
 def reduce_with_cofactors(
-    f: Polynomial, gens: Sequence[Polynomial], ordering: MonomialOrdering, field
+    f: Polynomial, gens: Sequence[Polynomial], ring, ordering: MonomialOrdering
 ) -> tuple[Polynomial, Optional[list[Polynomial]]]:
-    """(normal form r of f modulo the ideal of gens, cofactors c or None),
-    from one tracked basis.  c comes when r is zero, and the witness identity
-    f == sum(c_k * gens_k) is re-checked by substitution before returning."""
-    gens = list(gens)
-    gb = buchberger(gens, ordering, field, track=True)
+    """(normal form r of f modulo the ideal, cofactors c or None), from one
+    tracked basis.
+
+    ring is a polynomial ring over a field or a quotient of one; a quotient's
+    relations join gens in the ideal.  c comes when r is zero: the witness
+    identity f == sum(c_k * gens_k) + sum(d_k * relations_k) is re-checked by
+    substitution, then the relations' cofactors d are dropped and each c_k
+    comes back reduced in ring.
+    """
+    ideal = [*gens, *ring.relations]
+    field = ring.poly_ring.base
+    gb = buchberger(ideal, ordering, field, track=True)
     r, quots = normal_form_with_quotients(f, gb)
     if r:
         return r, None
-    cof = [Polynomial(field) for _ in gens]
+    cof = [Polynomial(field) for _ in ideal]
     for q, rep in zip(quots, gb.reps):
         if q:
             cof = [a + q * b for a, b in zip(cof, rep)]
     total = Polynomial(field)
-    for c, g in zip(cof, gens):
+    for c, g in zip(cof, ideal):
         total = total + c * g
     if total != f:
         raise InternalInconsistencyError("cofactor identity failed; tracking bug")
-    return r, cof
-
-
-def ideal_cofactors(target: Polynomial, gens: list, ring) -> Optional[list]:
-    """Cofactors c in ring with target == sum(c_k * gens_k), or None.
-
-    ring is a polynomial ring over a field or a quotient of one; a quotient's
-    relations join the generators, and its cofactors come back reduced.
-    """
-    ideal = gens + list(ring.relations)
-    cof = membership_cofactors(target, ideal, GrevLex(), ring.poly_ring.base)
-    return None if cof is None else [ring.reduce(c) for c in cof[: len(gens)]]
+    return r, [ring.reduce(c) for c in cof[: len(gens)]]
 
 
 def staircase_dimension_from_gb(gb: GroebnerBasis, nvars: int) -> int:

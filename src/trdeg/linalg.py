@@ -2,10 +2,11 @@
 
 Everything here is deterministic and exact.  _hnf_ops, a row-style Hermite
 elimination with a log of its row operations, serves hnf, which replays the
-log on the identity, and the integer span solve, which replays it backwards
-onto one coefficient vector; Z/n lifts to ZZ with modulus rows.  IntLattice,
-the incremental lattice, keeps a triangular basis instead and inserts each
-vector with one walk over its columns.  FieldEchelon, the one field
+log on the identity, and the ZZ span solve, which replays it backwards onto
+one coefficient vector.  IntLattice, the incremental lattice, keeps a
+triangular basis instead and inserts each vector with one walk over its
+columns; seeded with the modulus rows it is the one Z/n elimination, behind
+the search's sweep and the Z/n span solve.  FieldEchelon, the one field
 elimination, makes the same walk over an echelon form that is not reduced;
 it serves span membership and the span solve on the transposed system, which
 reads its coefficients by back substitution.  Its rows are plain ints
@@ -102,8 +103,9 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
 
     Returns None when target is outside the span.  Supported scalar rings:
     ZZ (Hermite normal form route), any field (echelon form and back
-    substitution), and Z/n (lift to ZZ with modulus rows).  The answer is
-    deterministic but not unique in general.
+    substitution), and Z/n (the residue lattice: the generators, then the
+    target, go into one IntLattice, which gives a member's coefficients in
+    range(n)).  The answer is deterministic but not unique in general.
     """
     dim = len(target)
     if any(len(g) != dim for g in gens):
@@ -113,7 +115,10 @@ def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> 
     if scalars.is_field:
         return _solve_field(list(target), [list(g) for g in gens], scalars)
     if isinstance(scalars, ModularRing):
-        return _solve_zmod(list(target), [list(g) for g in gens], scalars)
+        lattice = IntLattice(dim, scalars.modulus)
+        for g in gens:
+            lattice.add(g)
+        return lattice.member if lattice.add(target) else None
     raise UnsupportedConfigError(f"no span solver over {scalars}")
 
 
@@ -166,19 +171,6 @@ def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
     return coeffs
 
 
-def _solve_zmod(target: list[int], gens: list[list[int]], ring: ModularRing) -> Optional[list[int]]:
-    n = ring.modulus
-    sol = _solve_int(target, gens + _modulus_rows(n, len(target)))
-    if sol is None:
-        return None
-    return [c % n for c in sol[: len(gens)]]
-
-
-def _modulus_rows(n: int, dim: int) -> list[list[int]]:
-    """The rows n * e_j, whose integer span is the kernel of ZZ^dim -> (Z/n)^dim."""
-    return [[n if i == j else 0 for i in range(dim)] for j in range(dim)]
-
-
 class IntLattice:
     """Incremental integer row span, kept as a triangular basis.
 
@@ -199,7 +191,8 @@ class IntLattice:
     def __init__(self, dim: int, modulus: int = 0):
         self.dim = dim
         self.modulus = modulus
-        self.rows: dict[int, list[int]] = dict(enumerate(_modulus_rows(modulus, dim))) if modulus else {}
+        # Over Z/n the rows n * e_j: their span is the kernel of ZZ^dim -> (Z/n)^dim.
+        self.rows = {c: [modulus * (i == c) for i in range(dim)] for c in range(dim if modulus else 0)}
         self.combos: dict[int, dict[int, int]] = {c: {} for c in self.rows}
         self.adds = 0
         self._member: tuple = 0, []

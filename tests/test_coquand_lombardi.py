@@ -1,6 +1,7 @@
 """Boundary-ideal membership certificates and the finite ring dimension test."""
 
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -212,6 +213,45 @@ class TestCrossRoute:
         elems = [parse_elem(t, ring) for t in texts]
         for pair in product(elems, repeat=2):
             self._agree(ring, pair, 3)
+
+
+class TestResidueOracle:
+    """cl_search over Z/n against an oracle that uses no trdeg linear algebra:
+    the ideal (g_1..g_k) of Z/n is (gcd(g_1..g_k, n))."""
+
+    @staticmethod
+    def _least_exponents(n, elems, maxexp):
+        """Least box vector, by total and then in cl_search's (lexicographic)
+        order, whose target is 0 mod the gcd of its generators and n."""
+        box = sorted(product(range(maxexp + 1), repeat=len(elems)), key=lambda e: (sum(e), e))
+        for exps in box:
+            running, gens = 1, []
+            for a, m in zip(elems, exps):
+                running = running * pow(a, m, n) % n
+                gens.append(a * running % n)
+            if running % gcd(*gens, n) == 0:
+                return exps
+        return None
+
+    def test_residue_rings_match_gcd_oracle(self):
+        # The cases of TestCrossRoute at bound 4, where every search succeeds,
+        # and at bound 1, where some find nothing.
+        seen = {"found": 0, "not found": 0}
+        for n in range(2, 31):
+            ring = ModularRing(n)
+            tuples = [(a,) for a in range(n)]
+            tuples += list(product(range(n), repeat=2)) if n <= 12 else []
+            for elems in tuples:
+                for maxexp in (1, 4):
+                    outcome = cl_search(ring, elems, maxexp)
+                    expected = self._least_exponents(n, elems, maxexp)
+                    if expected is None:
+                        assert outcome == NotFoundUpTo(maxexp), (n, elems, maxexp)
+                        seen["not found"] += 1
+                    else:
+                        assert outcome.exponents == expected, (n, elems, maxexp)
+                        seen["found"] += 1
+        assert sum(seen.values()) == 2 * 1113 and min(seen.values()) >= 10, seen
 
 
 class TestFiniteRingDim:

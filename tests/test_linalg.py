@@ -266,6 +266,8 @@ class TestIncremental:
         # After every add the lattice's rows span what it has seen (over Z/n
         # that includes the modulus rows n * e_j it starts from): both have
         # the same nonzero Hermite rows.  The rows stay a triangular basis.
+        # Membership is checked against the ZZ solve over the same rows, since
+        # solve_in_span over Z/n runs this lattice.
         rng = random.Random(61)
         cases = [(ZZ, rng.randint(1, 5), 8) for _ in range(150)]
         cases += [(ZZ, rng.randint(1, 3), 60) for _ in range(50)]
@@ -289,7 +291,7 @@ class TestIncremental:
                 if not integers:
                     v = [x % ring.modulus for x in v]
                 was_member = lat.add(v)
-                assert was_member == (solve_in_span(v, seen, ring) is not None)
+                assert was_member == (solve_in_span(v, seen + base, ZZ) is not None)
                 seen.append(v)
                 assert nonzero_hnf(list(lat.rows.values())) == nonzero_hnf(base + seen)
                 assert_triangular(lat)
@@ -558,6 +560,8 @@ class TestSolveEqualsReference:
             assert solve_in_span(target, gens, ZZ) == hnf_transform_solution(target, gens)
 
     def test_residues_match_lifted_hnf_transform(self):
+        # The lifted transform decides membership; a hit's coefficients are
+        # the residue lattice's, any combination with entries in range(n).
         rng = random.Random(73)
         outcomes = set()
         for modulus in (4, 6, 9, 12, 30):
@@ -570,9 +574,11 @@ class TestSolveEqualsReference:
                 dim = len(target)
                 moduli = [[modulus if i == j else 0 for i in range(dim)] for j in range(dim)]
                 lifted = hnf_transform_solution(target, gens + moduli)
-                want = None if lifted is None else [c % modulus for c in lifted[: len(gens)]]
                 got = solve_in_span(target, gens, ring)
-                assert got == want
+                assert (got is None) == (lifted is None)
+                if got is not None:
+                    assert all(c in range(modulus) for c in got)
+                    assert_combination(got, target, gens, ring)
                 outcomes.add(got is None)
         assert outcomes == {True, False}
 

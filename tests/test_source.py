@@ -4,11 +4,14 @@ import ast
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import trdeg
+from trdeg.dependence import AlgebraConfig, Dependent
 from trdeg.monomials import Monomial
-from trdeg.parsing import parse_ring_text
+from trdeg.orderings import GrevLex
+from trdeg.parsing import parse_elem, parse_ring_text
 from trdeg.polynomials import Polynomial
 from trdeg.rings import GF, QQ, ZZ, PolyRing, Ring, Zmod
 
@@ -156,6 +159,33 @@ def test_benchmark_tracing_hooks_find_their_targets():
     finally:
         tracer.uninstall()
     assert trdeg.dependence.search_submonic_relation is search
+
+
+def test_benchmark_hooks_see_the_membership_calls():
+    # A hook whose target exists but that the code no longer calls (a route
+    # rerouted around the hooked name) would read 0 in a traced run.  One
+    # ideal-route search with a hit, one Z/n and one ZZ cl_search must reach
+    # each membership layer.
+    tracing = _perfbench_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install(tracing.HOOKS)
+    try:
+        ring = parse_ring_text("Poly(QQ; x,y,z)")
+        elems = tuple(parse_elem(t, ring) for t in ("x*y", "x", "y"))
+        verdict = trdeg.dependence.search_submonic_relation(AlgebraConfig(ring, ring), elems, GrevLex(), 2)
+        assert isinstance(verdict, Dependent)
+        start = len(tracer.names)
+        trdeg.coquand_lombardi.cl_search(Zmod(12), (2,), 5)
+        zmod = Counter(tracer.names[start:])
+        trdeg.coquand_lombardi.cl_search(ZZ, (12, 18), 4)
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names)
+    for layer in ("groebner.membership_cofactors", "groebner.normal_form", "linalg.solve_in_span"):
+        assert spans[layer] > 0, layer
+    assert tracer.hits["groebner.membership_cofactors"] > 0
+    assert tracer.calls["coquand_lombardi.membership_attempts"] > 0
+    assert zmod["linalg.lattice_add"] > 0
 
 
 def _perfbench_module(name):
