@@ -11,9 +11,10 @@ whole ring.  One search body serves both routes: a reverse sweep
 (_least_member) adds each candidate's item to a structure, which answers
 whether the item is already in the span, and stops as soon as the greater
 values span everything, since 1 is then the hit.  The span route adds the
-values' vectors to span_structure and solves for the hit on prefixes of the
-greater vectors (over Z/n the sweep's lattice records the hit's coefficients
-instead); the ideal route adds the values to one growing GroebnerBasis seeded
+values' vectors to span_structure; the hit's coefficients come, over ZZ,
+from the shortest prefix of the greater vectors that spans it, over a field
+from a solve on 1, 2, 4, ... of them, and over Z/n from the sweep's
+lattice.  The ideal route adds the values to one growing GroebnerBasis seeded
 with the algebra's relations (a value is a member exactly when its normal
 form is zero) and takes the hit's cofactors from membership_cofactors.
 
@@ -426,6 +427,8 @@ def search_submonic_relation(
     if hit is None:
         return NoRelationUpTo(maxdeg)
 
+    # A solve on a prefix of the greater values leaves the monomials past it
+    # out of the zip below (coefficient 0).
     greater = mons[hit + 1 :]
     if scalars is None:
         coeffs = membership_cofactors(items[hit], items[hit + 1 :], algebra, GrevLex())
@@ -435,6 +438,8 @@ def search_submonic_relation(
         if structure.adds < len(items):
             structure.add(items[0])
         greater, coeffs = reversed(mons), structure.member
+    elif scalars == ZZ:
+        coeffs = _solve_on_shortest_prefix(items, hit)
     else:
         coeffs = _solve_on_prefixes(items, hit, scalars)
     if coeffs is None:
@@ -482,13 +487,24 @@ def require_normal_forms(ring: Ring, elems: Sequence) -> None:
                 raise UnsupportedConfigError(f"{ring.format_elem(e)} is not in normal form in {ring}")
 
 
+def _solve_on_shortest_prefix(items: Sequence[list], hit: int) -> Optional[list]:
+    """Over ZZ, items[hit]'s coefficients over the shortest prefix of
+    items[hit + 1:] that spans it, or None: a tracked lattice grows by one
+    greater value at a time and is probed with the hit after each add."""
+    target, lattice, k = items[hit], IntLattice(len(items[hit]), track=True), hit + 1
+    while not lattice.add(target, insert=False):
+        if k == len(items):
+            return None
+        lattice.add(items[k])
+        k += 1
+    return lattice.member
+
+
 def _solve_on_prefixes(items: Sequence[list], hit: int, scalars: Ring) -> Optional[list]:
-    """solve_in_span for items[hit] over prefixes of items[hit + 1:], or None."""
-    # Solve on 1, 2, 4, ... of the greater values; the caller's zip skips the
-    # monomials past the prefix (coefficient 0).  Over ZZ any spanning prefix
-    # gives a relation, and a short one has far smaller coefficients.  Over a
-    # field every spanning prefix gives the same coefficients as all of them.
-    # Only the rows of the prefixes are read.  Z/n does not solve at all.
+    """Over a field, solve_in_span for items[hit] on 1, 2, 4, ... of the
+    greater values, or None."""
+    # Every spanning prefix gives the same coefficients as all of them, and
+    # only the rows of the prefixes are read.
     total, size = len(items) - hit - 1, 1
     coeffs = solve_in_span(items[hit], items[hit + 1 : hit + 2], scalars)
     while coeffs is None and size < total:

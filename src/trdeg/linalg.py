@@ -1,17 +1,17 @@
 """Exact linear algebra over ZZ, QQ, GF(p) and Z/n.
 
-Everything here is deterministic and exact.  _hnf_ops, a row-style Hermite
-elimination with a log of its row operations, serves hnf, which replays the
-log on the identity, and the ZZ span solve, which replays it backwards onto
-one coefficient vector.  IntLattice, the incremental lattice, keeps a
-triangular basis instead and inserts each vector with one walk over its
-columns; seeded with the modulus rows it is the one Z/n elimination, behind
-the search's sweep and the Z/n span solve.  FieldEchelon, the one field
-elimination, makes the same walk over an echelon form that is not reduced;
-it serves span membership and the span solve on the transposed system, which
-reads its coefficients by back substitution.  Its rows are plain ints
-(residues mod p, or primitive integer rows over QQ), so Fractions appear
-only in a solve's answer.
+Everything here is deterministic and exact.  IntLattice, the one integer
+elimination, keeps a triangular basis and inserts each vector with one walk
+over its columns.  Seeded with the modulus rows it answers membership mod n.
+Tracked, it keeps each row's combination of the vectors added, which gives
+a member's coefficients: the ZZ and Z/n span solves add the generators and
+then test the target, and hnf adds the rows and reduces the basis to the
+Hermite form, reading U off the combinations.  The search's ZZ sweep does
+not track.  FieldEchelon, the one field elimination, makes the same walk over
+an echelon form that is not reduced; it serves span membership and the span
+solve on the transposed system, which reads its coefficients by back
+substitution.  Its rows are plain ints (residues mod p, or primitive integer
+rows over QQ), so Fractions appear only in a solve's answer.
 """
 
 from __future__ import annotations
@@ -24,131 +24,54 @@ from .intmath import ext_gcd, modinv
 from .rings import IntegerRing, ModularRing, Ring
 
 
-def _hnf_ops(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple]]:
-    """Row Hermite normal form H of rows, with the log of row operations.
-
-    Each log entry is ("swap", i, j), ("neg", i) or ("sub", i, r, k) for
-    row_i -= k * row_r; applying the entries in order to rows gives H.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    h = [list(map(int, r)) for r in rows]
-    ops: list[tuple] = []
-
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        # Rows r.. are zero before col, so operations with pivot row r touch
-        # only columns col.. of a row.
-        live = (i for i in range(r, m) if h[i][col] != 0)
-        best = min(live, key=lambda i: abs(h[i][col]), default=None)
-        while best is not None:
-            if best != r:
-                h[r], h[best] = h[best], h[r]
-                ops.append(("swap", r, best))
-            if h[r][col] < 0:
-                h[r][col:] = [-x for x in h[r][col:]]
-                ops.append(("neg", r))
-            p, tail = h[r][col], h[r][col:]
-            # The next pivot is the least nonzero remainder, first row on ties.
-            best, least = None, p
-            for i in range(r + 1, m):
-                row = h[i]
-                if row[col] != 0:
-                    q = row[col] // p
-                    row[col:] = [a - q * b for a, b in zip(row[col:], tail)]
-                    ops.append(("sub", i, r, q))
-                    if 0 < row[col] < least:
-                        best, least = i, row[col]
-        if h[r][col] != 0:
-            p, tail = h[r][col], h[r][col:]
-            for i in range(r):
-                q = h[i][col] // p
-                if q:
-                    h[i][col:] = [a - q * b for a, b in zip(h[i][col:], tail)]
-                    ops.append(("sub", i, r, q))
-            r += 1
-    return h, ops
-
-
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form.
 
     Returns (H, U) with U unimodular, U*A == H, pivot columns strictly
     increasing, pivots positive, entries above each pivot reduced into
-    [0, pivot).  Zero rows sink to the bottom.  Pivot selection takes the
-    least |value| (ties by row index) to keep intermediate entries small.
-    H and the log of row operations come from _hnf_ops; U is that log
-    replayed, operation by operation, on the m x m identity.
+    [0, pivot).  Zero rows sink to the bottom.  The rows go, in order, into
+    one tracked IntLattice, whose rows are then reduced above every pivot.
+    U is the pivot rows' combinations followed by, for each add that opened
+    no pivot, the combination its vector was left with: a kernel vector.
+    U is not unique when the rows are dependent.
     """
-    h, ops = _hnf_ops(rows)
-    m = len(h)
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for op in ops:
-        if op[0] == "swap":
-            u[op[1]], u[op[2]] = u[op[2]], u[op[1]]
-        elif op[0] == "neg":
-            u[op[1]] = [-x for x in u[op[1]]]
-        else:
-            _, i, r, k = op
-            u[i] = [x - k * y for x, y in zip(u[i], u[r])]
-    return h, u
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    lattice, kernel = IntLattice(n, track=True), []  # add() refuses a ragged row
+    for row in rows:
+        rank = len(lattice.rows)
+        lattice.add(row)
+        if len(lattice.rows) == rank:
+            kernel.append(_mix(lattice._left, 0))
+    pivots = sorted(lattice.rows)
+    if pivots:
+        lattice._reduce(pivots)
+    h = [lattice.rows[c] for c in pivots] + [[0] * n for _ in kernel]
+    combos = [lattice.combos[c] for c in pivots] + kernel
+    return h, [[combo.get(j, 0) for j in range(m)] for combo in combos]
 
 
 def solve_in_span(target: Sequence, gens: Sequence[Sequence], scalars: Ring) -> Optional[list]:
     """Coefficients c with sum(c_i * gens_i) == target over the scalar ring.
 
     Returns None when target is outside the span.  Supported scalar rings:
-    ZZ (Hermite normal form route), any field (echelon form and back
-    substitution), and Z/n (the residue lattice: the generators, then the
-    target, go into one IntLattice, which gives a member's coefficients in
+    any field (echelon form and back substitution), and ZZ and Z/n (the
+    generators, then the target, go into one tracked IntLattice, and a member
+    target's coefficients are the lattice's member; over Z/n they lie in
     range(n)).  The answer is deterministic but not unique in general.
     """
     dim = len(target)
     if any(len(g) != dim for g in gens):
         raise ValueError("generator dimension mismatch")
-    if isinstance(scalars, IntegerRing):
-        return _solve_int(list(target), [list(g) for g in gens])
     if scalars.is_field:
         return _solve_field(list(target), [list(g) for g in gens], scalars)
-    if isinstance(scalars, ModularRing):
-        lattice = IntLattice(dim, scalars.modulus)
+    if isinstance(scalars, (IntegerRing, ModularRing)):
+        modulus = scalars.modulus if isinstance(scalars, ModularRing) else 0
+        lattice = IntLattice(dim, modulus, track=True)
         for g in gens:
             lattice.add(g)
-        return lattice.member if lattice.add(target) else None
+        return lattice.member if lattice.add(target, insert=False) else None
     raise UnsupportedConfigError(f"no span solver over {scalars}")
-
-
-def _solve_int(target: list[int], gens: list[list[int]]) -> Optional[list[int]]:
-    h, ops = _hnf_ops(gens)
-    # Pivot quotients w with sum(w_k * h_k) == target, or None: a pivot does
-    # not divide what is left in its column, or something is left at the end.
-    y, w = target, [0] * len(h)
-    for k, row in enumerate(h):
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            break  # zero rows sink to the bottom
-        if y[c] % row[c]:
-            return None
-        w[k] = q = y[c] // row[c]
-        y = [a - q * b for a, b in zip(y, row)] if q else y
-    if any(y):
-        return None
-    # The coefficients are w^T U for H = U * gens.  U is the log's row
-    # operations applied in order, so w^T U applies their transposes to w
-    # in reverse: row_i -= k * row_r becomes w_r -= k * w_i.
-    for op in reversed(ops):
-        if op[0] == "swap":
-            w[op[1]], w[op[2]] = w[op[2]], w[op[1]]
-        elif op[0] == "neg":
-            w[op[1]] = -w[op[1]]
-        else:
-            _, i, r, k = op
-            w[r] -= k * w[i]
-    return w
 
 
 def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
@@ -183,28 +106,36 @@ class IntLattice:
     changed row is size-reduced against the rows below it, and each other row
     above only at the changed pivots, or one that stays put (say at pivot 1)
     would keep entries reduced against larger, older pivots.  Over Z/n the
-    lattice starts from the modulus rows, so add() answers membership mod n,
-    and the same steps update each row's combination mod n of the adds so far
-    (add index -> coefficient; 0 for a modulus row).  Over ZZ they blow up.
+    lattice starts from the modulus rows, so add() answers membership mod n.
+    A tracked lattice (every Z/n one) keeps each row's combination of the
+    adds (add index -> coefficient, mod n; none for a modulus row), updated
+    by the same steps.  Over ZZ they grow with the run, so only the span
+    solves and hnf track, not the search's sweep.
     """
 
-    def __init__(self, dim: int, modulus: int = 0):
+    def __init__(self, dim: int, modulus: int = 0, track: bool = False):
         self.dim = dim
         self.modulus = modulus
+        self.track = track or bool(modulus)
         # Over Z/n the rows n * e_j: their span is the kernel of ZZ^dim -> (Z/n)^dim.
         self.rows = {c: [modulus * (i == c) for i in range(dim)] for c in range(dim if modulus else 0)}
         self.combos: dict[int, dict[int, int]] = {c: {} for c in self.rows}
         self.adds = 0
         self._member: tuple = 0, []
+        self._left: list = []
 
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert vec; returns True when it already belonged to the span."""
+    def add(self, vec: Sequence[int], insert: bool = True) -> bool:
+        """Insert vec; returns True when it already belonged to the span.
+
+        With insert=False nothing changes: the walk stops at the first step
+        that would change a row, and a member is still recorded in member.
+        """
         v = list(vec)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        t, self.adds = self.adds, self.adds + 1
-        rows, combos, n = self.rows, self.combos, self.modulus
-        # Over Z/n, v's combination of the adds as terms (k, combo), mixed only
+        t = self.adds
+        rows, combos, n, track = self.rows, self.combos, self.modulus, self.track
+        # Tracked, v's combination of the adds as terms (k, combo), mixed only
         # when a row takes it; combos' dicts are replaced, never changed.
         cv = [(1, {t: 1})]
         changed = []
@@ -217,37 +148,48 @@ class IntLattice:
             if p and not x % p:
                 q = x // p
                 v = [y - q * r for y, r in zip(v, row)]
-                if n:
+                if track:
                     cv.append((-q, combos[c]))
                 continue
+            if not insert:
+                return False
             # [s u; a -b] is unimodular and sends (row, v) to (gcd row, v with
             # column c cleared).
             g, s, u = ext_gcd(p, x)
             a, b = x // g, p // g
             rows[c], v = [s * r + u * y for r, y in zip(row, v)], [a * r - b * y for r, y in zip(row, v)]
-            if n:
+            if track:
                 cr = combos.get(c, {})
                 combos[c] = _mix([(s, cr)] + [(u * k, d) for k, d in cv], n)
                 cv = [(a, cr)] + [(-b * k, d) for k, d in cv]
             changed.append(c)
+        if insert:
+            self.adds += 1
+        self._left = cv
         if not changed:
             self._member = t, cv
             return True
+        self._reduce(changed)
+        return False
+
+    def _reduce(self, changed: list[int]) -> None:
+        # The size reduction after add() changed the rows at changed pivots.
+        rows, combos, n, track = self.rows, self.combos, self.modulus, self.track
         pivots = sorted(rows)
         for c in reversed(pivots[: pivots.index(changed[-1]) + 1]):
             row = rows[c]
             for d in pivots if c in changed else changed:
                 if d > c and (q := row[d] // rows[d][d]):
                     row = [y - q * r for y, r in zip(row, rows[d])]
-                    if n:
+                    if track:
                         combos[c] = _mix([(1, combos[c]), (-q, combos[d])], n)
             rows[c] = row
-        return False
 
     @property
     def member(self) -> list[int]:
-        """Over Z/n, the last member add's coefficients in range(n) over the
-        adds before it: v minus its multiples of the rows is 0."""
+        """In a tracked lattice, the last member add's coefficients over the
+        adds before it (in range(n) over Z/n): v minus its multiples of the
+        rows is 0."""
         t, cv = self._member
         combo = _mix([(-k, d) for k, d in cv[1:]], self.modulus)
         return [combo.get(j, 0) for j in range(t)]
@@ -258,12 +200,13 @@ class IntLattice:
 
 
 def _mix(terms: Sequence[tuple[int, dict[int, int]]], n: int) -> dict[int, int]:
-    """The sum of k * combo over terms, mod n, as add index -> coefficient."""
+    """The sum of k * combo over terms, mod n unless n is 0, as add index ->
+    coefficient."""
     out: dict[int, int] = {}
     for k, combo in terms:
         for j, x in combo.items():
             out[j] = out.get(j, 0) + k * x
-    return {j: x % n for j, x in out.items()}
+    return {j: x % n for j, x in out.items()} if n else out
 
 
 class FieldEchelon:
@@ -336,9 +279,9 @@ class FieldEchelon:
 def span_structure(scalars: Ring, dim: int) -> Union[IntLattice, FieldEchelon]:
     """An incremental span of dim-vectors over the scalar ring, spanning 0.
 
-    Dispatches like solve_in_span: ZZ gives an IntLattice, a field a
-    FieldEchelon, and Z/n an IntLattice seeded with the modulus rows, so that
-    add() answers membership modulo n and member holds a member's coefficients.
+    ZZ gives an untracked IntLattice, a field a FieldEchelon, and Z/n an
+    IntLattice seeded with the modulus rows, so that add() answers membership
+    modulo n and member holds a member's coefficients.
     """
     if isinstance(scalars, IntegerRing):
         return IntLattice(dim)

@@ -244,7 +244,7 @@ def test_criterion_7_seeded_experiment_reproduces(capsys):
                 assert verify_certificate(rec.certificate)
         assert first.canonical_json() == second.canonical_json()
         digest = hashlib.sha256(first.canonical_json().encode()).hexdigest()
-        assert digest == "e6fb60943e5fc4a3780fea16097a25e87a399ea3a305c644722d8c70abed091c"
+        assert digest == "1f9050aa5ccdc476db653839a14fb9431333e60f2756d31b3abd99680cad55ab"
         report = first.to_dict(include_timing=False)
         assert report["unresolved_trials"] == first.unresolved_trials
         counts = first.summary

@@ -23,7 +23,7 @@ from trdeg.dependence import (
 )
 from trdeg.errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from trdeg.groebner import GroebnerBasis, buchberger, membership_cofactors
-from trdeg.harness import sample_element
+from trdeg.harness import ExperimentSpec, run_experiment, sample_element
 from trdeg.linalg import solve_in_span, span_structure
 from trdeg.monomials import ONE, Monomial, monomials_up_to_degree
 from trdeg.orderings import GrevLex, Lex
@@ -292,7 +292,8 @@ def _shortest_spanning_prefix(target, gens):
 
 
 class TestZZPrefixSolve:
-    """Over ZZ the coefficients come from 1, 2, 4, ... of the greater values."""
+    """Over ZZ the coefficients come from the shortest prefix of the greater
+    values that spans the hit."""
 
     def test_failed_full_solve_still_raises(self, monkeypatch):
         ring = PolyRing(ZZ, ("x",))
@@ -302,27 +303,22 @@ class TestZZPrefixSolve:
         trailing = search_submonic_relation(cfg, elems, GrevLex(), 4).certificate.trailing
         mons = GrevLex().sort(monomials_up_to_degree(2, 4))
         full = len(mons) - 1 - mons.index(trailing)
-        sizes = []
+        add, probes = linalg.IntLattice.add, []
 
-        def refuse(target, gens, scalars):
-            sizes.append(len(gens))
-            return None
+        def no_member_probes(self, vec, insert=True):
+            # The sweep inserts as before; every probe of the hit fails.
+            if insert:
+                return add(self, vec)
+            probes.append(self.adds)
+            return False
 
-        monkeypatch.setattr(dependence, "solve_in_span", refuse)
+        monkeypatch.setattr(linalg.IntLattice, "add", no_member_probes)
         with pytest.raises(InternalInconsistencyError, match="disagreed"):
             search_submonic_relation(cfg, elems, GrevLex(), 4)
         assert full > 4
-        assert sizes == [min(2**i, full) for i in range(len(sizes))]
-        assert sizes[-1] == full
+        assert probes == list(range(full + 1))
 
-    def test_prefix_lengths_certificates_and_verdicts(self, monkeypatch):
-        calls = []
-
-        def recording(target, gens, scalars):
-            calls.append((target, gens))
-            return solve_in_span(target, gens, scalars)
-
-        monkeypatch.setattr(dependence, "solve_in_span", recording)
+    def test_shortest_prefix_certificates_and_verdicts(self):
         poly_cfg = AlgebraConfig(ZZ, PolyRing(ZZ, ("x",)))
         rng = random.Random(61)
         dependent = 0
@@ -331,25 +327,42 @@ class TestZZPrefixSolve:
             arity, maxdeg = rng.randint(1, 3), rng.randint(2, 6)
             ordering = rng.choice([Lex(), GrevLex()])
             elems = tuple(sample_element(rng, cfg.algebra, 2, bound) for _ in range(arity))
-            calls.clear()
             verdict = search_submonic_relation(cfg, elems, ordering, maxdeg)
             mons = ordering.sort(monomials_up_to_degree(arity, maxdeg))
             expected = _full_solve_trailing(cfg, elems, mons)
             if not isinstance(verdict, Dependent):
                 assert verdict == NoRelationUpTo(maxdeg) and expected is None
-                assert calls == []
                 continue
             dependent += 1
             cert = verdict.certificate
             assert cert.trailing == expected
             assert verify_certificate(cert)
-            full = len(mons) - 1 - mons.index(cert.trailing)
-            sizes = [len(gens) for _, gens in calls]
-            assert sizes == [min(2**i, full) for i in range(len(sizes))]
-            shortest = _shortest_spanning_prefix(*calls[-1])
-            assert all(size < shortest for size in sizes[:-1])
-            assert sizes[-1] == full or sizes[-1] < 2 * shortest
+            hit = mons.index(cert.trailing)
+            vecs = _span_vectors(cfg, elems, mons)
+            shortest = _shortest_spanning_prefix(vecs[hit], vecs[hit + 1 :])
+            # Every other term is among the first `shortest` greater
+            # monomials, and the last of them has a nonzero coefficient,
+            # since the hit is outside the span of the ones before it.
+            used = {mons.index(m) for m in cert.poly.terms} - {hit}
+            assert used <= set(range(hit + 1, hit + 1 + shortest))
+            assert (hit + shortest in used) == (shortest > 0)
         assert dependent >= 100
+
+    def test_certificate_size_guard(self):
+        # Over the first 40 seeds of the default experiment (ZZ into ZZ[x],
+        # arity 3, grevlex, maxdeg 6) the largest certificate coefficient was
+        # this 151-bit one when the ZZ solve ran a batch Hermite elimination
+        # on 1, 2, 4, ... of the greater values; the shortest prefix must
+        # not give a larger one.
+        batch_largest = 2727362209591492049574806323751554980061606837
+        largest = max(
+            abs(c)
+            for seed in range(40)
+            for rec in run_experiment(ExperimentSpec(seed=seed, trials=1)).records
+            if rec.certificate is not None
+            for c in rec.certificate.poly.terms.values()
+        )
+        assert largest <= batch_largest
 
 
 class TestFieldPrefixSolve:

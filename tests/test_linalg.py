@@ -1,5 +1,6 @@
 """Exact linear algebra: HNF, span membership, incremental structures."""
 
+import copy
 import itertools
 import math
 import random
@@ -13,7 +14,6 @@ from propcheck import (
     det,
     reference_solve_field,
 )
-from trdeg import linalg
 from trdeg.linalg import FieldEchelon, IntLattice, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
 
@@ -54,17 +54,20 @@ class TestHNF:
         a = [[4, 1, 3], [-2, 3, 0], [2, 5, 1], [6, -1, 2], [0, 0, 0], [-2, 3, 0]]
         h, u = hnf(a)
         assert h == [[2, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        # The last two rows are the kernel vectors left by the adds of the
+        # zero row and of the repeated row, which opened no pivot.
         assert u == [
-            [-3, 8, -3, 6, 0, 0],
-            [-1, 3, -1, 2, 0, 0],
+            [5, -17, 7, -11, 0, 0],
+            [7, -22, 9, -15, 0, 0],
             [0, 2, -1, 1, 0, 0],
             [8, -25, 10, -17, 0, 0],
             [0, 0, 0, 0, 1, 0],
-            [0, -1, 0, 0, 0, 1],
+            [-16, 49, -20, 34, 0, 1],
         ]
-        assert solve_in_span([8, 6, 7], a, ZZ) == [-18, 64, -25, 43, 0, 0]
-        # After the first round both remainders are 2: the first row wins.
-        assert hnf([[-3], [-4], [-4]]) == ([[1], [0], [0]], [[1, -1, 0], [-4, 3, 0], [0, -1, 1]])
+        assert solve_in_span([8, 6, 7], a, ZZ) == [62, -186, 75, -127, 0, 0]
+        # The gcd step of the second add leaves 4 * row 0 - 3 * row 1; the
+        # third add is a member.
+        assert hnf([[-3], [-4], [-4]]) == ([[1], [0], [0]], [[1, -1, 0], [4, -3, 0], [4, -4, 1]])
 
     def test_identity_fixed(self):
         h, _ = hnf([[1, 0], [0, 1]])
@@ -296,31 +299,67 @@ class TestIncremental:
                 assert nonzero_hnf(list(lat.rows.values())) == nonzero_hnf(base + seen)
                 assert_triangular(lat)
 
-    @pytest.mark.parametrize("n", [4, 6, 9, 12, 30])
+    @pytest.mark.parametrize("n", [0, 4, 6, 9, 12, 30])
     def test_residue_lattice_records_member_combinations(self, n):
-        # Over Z/n a member add leaves its coefficients over the earlier adds,
-        # in add order, and they give the vector back mod n.
+        # In a tracked lattice a member add leaves its coefficients over the
+        # earlier adds, in add order, and they give the vector back: mod n
+        # over Z/n, with coefficients in range(n), and exactly over ZZ (n = 0).
         rng = random.Random(f"member combinations {n}")
         members = 0
         for _ in range(60):
             dim = rng.randint(1, 3)
-            lat = span_structure(ModularRing(n), dim)
+            lat = IntLattice(dim, n, track=True)
             seen = []
             for _ in range(rng.randint(1, 10)):
-                if seen and rng.random() < 0.4:
+                if n and seen and rng.random() < 0.4:
                     picked = [rng.randrange(n) for _ in seen]
                     v = [sum(c * g[i] for c, g in zip(picked, seen)) % n for i in range(dim)]
-                else:
+                elif n:
                     v = [rng.randrange(n) for _ in range(dim)]
+                elif seen and rng.random() < 0.4:
+                    picked = [rng.randint(-5, 5) for _ in seen]
+                    v = [sum(c * g[i] for c, g in zip(picked, seen)) for i in range(dim)]
+                else:
+                    v = [rng.randint(-12, 12) for _ in range(dim)]
                 if lat.add(v):
                     members += 1
                     coeffs = lat.member
                     assert len(coeffs) == len(seen)
-                    assert all(c in range(n) for c in coeffs)
-                    total = [sum(c * g[i] for c, g in zip(coeffs, seen)) % n for i in range(dim)]
+                    total = [sum(c * g[i] for c, g in zip(coeffs, seen)) for i in range(dim)]
+                    if n:
+                        assert all(c in range(n) for c in coeffs)
+                        total = [x % n for x in total]
                     assert total == v
                 seen.append(v)
         assert members >= 50
+
+    @pytest.mark.parametrize("n", [0, 6, 12])
+    def test_probe_without_insert(self, n):
+        # add(v, insert=False) answers membership like add(v), changes no
+        # row, combination or add count, and on a member records member as
+        # an inserting add would.
+        rng = random.Random(f"probe {n}")
+        outcomes = set()
+        for _ in range(80):
+            dim = rng.randint(1, 3)
+            lat, seen = IntLattice(dim, n, track=True), []
+            for _ in range(rng.randint(1, 8)):
+                v = [rng.randint(-9, 9) for _ in range(dim)]
+                v = [x % n for x in v] if n else v
+                before = copy.deepcopy((lat.rows, lat.combos, lat.adds))
+                member = lat.add(v, insert=False)
+                assert (lat.rows, lat.combos, lat.adds) == before
+                probed = lat.member if member else None
+                twin = copy.deepcopy(lat)
+                assert twin.add(v) == member
+                if member:
+                    assert probed == twin.member
+                    total = [sum(c * g[i] for c, g in zip(probed, seen)) for i in range(dim)]
+                    assert [x % n if n else x for x in total] == v
+                outcomes.add(member)
+                lat.add(v)
+                seen.append(v)
+        assert outcomes == {True, False}
 
     def test_int_lattice_entries_stay_near_the_hermite_form(self):
         # The basis is not reduced to the Hermite form, but its entries must
@@ -344,29 +383,6 @@ class TestIncremental:
                         bound = 2 * longest(hnf(seen)[0])
                         assert longest(lat.rows.values()) <= bound, (dim, rank, k)
                 assert_triangular(lat)
-
-    def test_int_lattice_add_runs_no_hermite_elimination(self, monkeypatch):
-        # add() inserts into its basis; rerunning _hnf_ops over the kept rows
-        # for every non-member is what it replaced, and must not come back.
-        def refuse(rows):
-            raise AssertionError("IntLattice.add called _hnf_ops")
-
-        monkeypatch.setattr(linalg, "_hnf_ops", refuse)
-        rng = random.Random(89)
-        members = 0
-        for n in (0, 2, 6, 12, 30):
-            for _ in range(30):
-                dim = rng.randint(1, 5)
-                lat, seen = IntLattice(dim, n), []
-                for _ in range(12):
-                    v = [rng.randint(-20, 20) for _ in range(dim)]
-                    v = [x % n for x in v] if n else v
-                    if lat.add(v) and n:
-                        members += 1
-                        total = [sum(c * g[i] for c, g in zip(lat.member, seen)) for i in range(dim)]
-                        assert [x % n for x in total] == v
-                    seen.append(v)
-        assert members >= 500
 
     def test_int_lattice_gcd_saturation(self):
         lat = IntLattice(3)
