@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified, require_normal_forms
+from .dependence import AlgebraConfig, SubmonicCertificate, mark_verified, require_elements
 from .errors import InternalInconsistencyError, ResourceCapExceeded, UnsupportedConfigError
 from .groebner import membership_cofactors
 from .linalg import solve_in_span
@@ -99,7 +99,7 @@ def cl_search(
 ) -> CLOutcome:
     """Least exponent vector (by total sum, then lexicographically) in the box
     [0, maxexp]^n whose boundary-ideal membership holds, with coefficients.
-    An element of a QuotRing must be in normal form."""
+    Every element must belong to ring (see require_elements)."""
     elems = tuple(elems)
     if not elems:
         raise ValueError("need at least one element")
@@ -113,7 +113,7 @@ def cl_search(
     if count > limit:
         raise ResourceCapExceeded(f"{count} exponent tuples exceed the cap {limit}")
     scalars = AlgebraConfig(ring, ring).scalars  # raises for an unsupported ring
-    require_normal_forms(ring, elems)
+    require_elements(ring, elems)
 
     for total in range(n * maxexp + 1):
         for exps in compositions(total, n):

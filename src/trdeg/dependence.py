@@ -212,6 +212,10 @@ def check_certificate(cert: SubmonicCertificate) -> Optional[str]:
     f = cert.poly
     if not f:
         return "polynomial is zero"
+    algebra = cert.config.algebra
+    for e in cert.elements:
+        if not algebra.contains(e):
+            return f"element {e!r} is not in {algebra}"
     n = len(cert.elements)
     if f.max_var_index() > n:
         return f"polynomial uses x{f.max_var_index()} but only {n} elements are given"
@@ -394,14 +398,14 @@ def search_submonic_relation(
     Deterministic: candidates are scanned in increasing ordering position, and
     the coefficient extraction is exact.  Raises ResourceCapExceeded when the
     candidate count math.comb(maxdeg + n, n) exceeds TRDEG_MONOMIAL_CAP, which
-    is a distinct outcome from NoRelationUpTo.  An element of a QuotRing must
-    be in normal form, since the candidates' values are built from it as is.
+    is a distinct outcome from NoRelationUpTo.  Every element must belong to
+    the algebra (see require_elements).
     """
     elems = tuple(elems)
     if not elems:
         raise ValueError("need at least one element")
     algebra, scalars = config.algebra, config.scalars
-    require_normal_forms(algebra, elems)
+    require_elements(algebra, elems)
     if maxdeg < 0:
         raise ValueError("degree bound must be nonnegative")
     n = len(elems)
@@ -478,13 +482,18 @@ def _least_member(structure, items: Sequence) -> Optional[int]:
     return hit
 
 
-def require_normal_forms(ring: Ring, elems: Sequence) -> None:
-    """Raise UnsupportedConfigError unless every element of a QuotRing is in
-    normal form: the searches build values from the elements as they are."""
-    if isinstance(ring, QuotRing):
-        for e in elems:
-            if ring.reduce(e) != e:
-                raise UnsupportedConfigError(f"{ring.format_elem(e)} is not in normal form in {ring}")
+def require_elements(ring: Ring, elems: Sequence) -> None:
+    """Raise UnsupportedConfigError unless ring.contains every element: the
+    searches build values from the elements as they are, so a QuotRing's
+    must be normal forms, and a value from outside the ring (a bool, a float,
+    a Fraction in ZZ, 7 in Zmod(6)) would give a relation that holds in
+    Python arithmetic but not in the ring."""
+    for e in elems:
+        if ring.contains(e):
+            continue
+        if isinstance(ring, QuotRing) and ring.poly_ring.contains(e):
+            raise UnsupportedConfigError(f"{ring.format_elem(e)} is not in normal form in {ring}")
+        raise UnsupportedConfigError(f"{e!r} is not an element of {ring}")
 
 
 def _solve_on_shortest_prefix(items: Sequence[list], hit: int) -> Optional[list]:

@@ -33,6 +33,13 @@ inter-reduced, monic, sorted by ascending leading monomial), hence canonical
 for the ideal and ordering.  Inter-reduction takes one pass: the leading
 monomials of a minimal basis are pairwise indivisible and reducing a tail
 never changes them, so a tail reduced once stays reduced.
+
+Every division (normal_form, the tracked quotients, the pair loop, add,
+inter-reduction and QuotRing.reduce) runs one loop, _remainder, a sparse
+division that keeps the work as a term dict beside a heap of its monomials,
+greatest first (Johnson 1974; Monagan & Pearce 2007).  Each monomial's
+ordering key is computed once, when it enters the work, the leading term is
+a heap pop, and a reduction step touches only the divisor's terms.
 """
 
 from __future__ import annotations
@@ -55,6 +62,21 @@ def _rep_minus(rep, quots, reps) -> list[Polynomial]:
     return rep
 
 
+class _Greatest:
+    """A heap entry for a monomial and its ordering key.  heapq pops the least
+    entry, so __lt__ inverts the key and the ordering-greatest monomial pops
+    first; this serves every ordering, nested keys included."""
+
+    __slots__ = ("key", "mon")
+
+    def __init__(self, key: tuple, mon: Monomial):
+        self.key = key
+        self.mon = mon
+
+    def __lt__(self, other: "_Greatest") -> bool:
+        return self.key > other.key
+
+
 def _remainder(
     p: Polynomial,
     divisors: list[Polynomial],
@@ -67,21 +89,48 @@ def _remainder(
     leads: p == sum(q_i * divisors_i) + r with no monomial of r divisible by
     any lead.  The terms of q_i are written into quotients[i] when quotients
     is given.  The leading monomial of the work strictly falls, so each
-    quotient and remainder monomial is written once."""
+    quotient and remainder monomial is written once.
+
+    The work is a term dict beside a heap of its monomials, greatest first,
+    and a monomial's ordering key is computed once, when it enters the dict.
+    A step pops the leading term and subtracts lc * mon * divisor term by
+    term, the divisor's leading term included, which cancels the popped term
+    since the divisor is monic; a term that no lead divides moves to r.  A
+    term that cancels leaves its heap entry behind, and a popped monomial no
+    longer in the dict is skipped."""
+    key, add, mul, neg = ordering.key, field.add, field.mul, field.neg
+    push, pop = heapq.heappush, heapq.heappop
+    work = dict(p.terms)
+    get = work.get
+    heap = [_Greatest(key(m), m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Monomial, object] = {}
-    work = p
-    while work:
-        lm, lc = leading_term(work, ordering)
+    while heap:
+        lm = pop(heap).mon
+        lc = get(lm)
+        if lc is None:
+            continue
         for i, glm in enumerate(leads):
             if glm.divides(lm):
                 mon = lm.div(glm)
-                work = work - divisors[i].mul_term(mon, lc)
+                for m, v in divisors[i].terms.items():
+                    m = m * mon
+                    c = neg(mul(lc, v))
+                    old = get(m)
+                    if old is None:
+                        if c:
+                            work[m] = c
+                            push(heap, _Greatest(key(m), m))
+                    elif c := add(old, c):
+                        work[m] = c
+                    else:
+                        del work[m]
                 if quotients is not None:
                     quotients[i][mon] = lc
                 break
         else:
             remainder[lm] = lc
-            work = work - Polynomial(field, {lm: lc})
+            del work[lm]
     return Polynomial(field, remainder)
 
 

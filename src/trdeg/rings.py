@@ -6,7 +6,9 @@ Fraction otherwise, Polynomial for polynomial and quotient rings.  Element
 values carry no ring pointer, so every operation goes through the ring that
 owns it.
 
-The protocol: a ring gives from_int, and zero and one follow from it.  add,
+The protocol: a ring gives from_int, and zero and one follow from it, and
+contains, which accepts exactly its values in that one form (no bool, float
+or value of another ring; a quotient's values in normal form).  add,
 mul and neg are Python's +, * and unary -; a ring overrides them only when
 its values need reducing, and pow squares repeatedly through mul.  A value
 is zero exactly when it is falsy, as ints, Fractions and Polynomials are, so
@@ -42,6 +44,10 @@ class Ring:
     is_finite = False
 
     def from_int(self, k: int):
+        raise NotImplementedError
+
+    def contains(self, v) -> bool:
+        """True when v is a value of this ring in its one form."""
         raise NotImplementedError
 
     def zero(self):
@@ -93,6 +99,10 @@ class IntegerRing(Ring):
     def from_int(self, k: int):
         return k
 
+    def contains(self, v) -> bool:
+        # Not isinstance: a bool would pass as 0 or 1.
+        return type(v) is int
+
     def __repr__(self) -> str:
         return "ZZ"
 
@@ -110,6 +120,9 @@ class RationalRing(Ring):
 
     def from_int(self, k: int):
         return k
+
+    def contains(self, v) -> bool:
+        return type(v) is int or type(v) is Fraction
 
     def add(self, a, b):
         return _rational(a + b)
@@ -148,6 +161,9 @@ class ModularRing(Ring):
 
     def from_int(self, k: int):
         return k % self.modulus
+
+    def contains(self, v) -> bool:
+        return type(v) is int and 0 <= v < self.modulus
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
@@ -211,11 +227,12 @@ class PolyRing(Ring):
     def from_int(self, k: int):
         return Polynomial.constant(self.base, self.base.from_int(k))
 
-    def contains_value(self, a) -> bool:
+    def contains(self, v) -> bool:
         return (
-            isinstance(a, Polynomial)
-            and a.ring == self.base
-            and a.max_var_index() <= self.nvars
+            isinstance(v, Polynomial)
+            and v.ring == self.base
+            and v.max_var_index() <= self.nvars
+            and all(map(self.base.contains, v.terms.values()))
         )
 
     def format_elem(self, a) -> str:
@@ -247,7 +264,7 @@ class QuotRing(Ring):
         if not self.poly_ring.base.is_field:
             raise ValueError("quotient rings are supported over field coefficients only")
         for g in self.relations:
-            if not self.poly_ring.contains_value(g):
+            if not self.poly_ring.contains(g):
                 raise ValueError("relation outside the polynomial ring")
 
     @cached_property
@@ -261,6 +278,10 @@ class QuotRing(Ring):
         from .groebner import normal_form
 
         return normal_form(p, self.groebner_basis)
+
+    def contains(self, v) -> bool:
+        """An element of poly_ring in normal form."""
+        return self.poly_ring.contains(v) and self.reduce(v) == v
 
     @cached_property
     def _unit_terms(self) -> dict:

@@ -348,6 +348,33 @@ def check_spoly_reduction(rng: random.Random, count: int) -> int:
     return count
 
 
+def reference_divide(
+    p: Polynomial,
+    divisors: list[Polynomial],
+    leads: list[Monomial],
+    ordering: MonomialOrdering,
+    field,
+) -> tuple[Polynomial, list[Polynomial]]:
+    """(remainder, quotients) of full division by monic divisors, as the
+    plain textbook loop computes them: one max over the work's terms per
+    step for its leading term, and each subtraction a new Polynomial."""
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder: dict = {}
+    work = p
+    while work:
+        lm, lc = leading_term(work, ordering)
+        for i, glm in enumerate(leads):
+            if glm.divides(lm):
+                mon = lm.div(glm)
+                work = work - divisors[i].mul_term(mon, lc)
+                quotients[i][mon] = lc
+                break
+        else:
+            remainder[lm] = lc
+            work = work - Polynomial(field, {lm: lc})
+    return Polynomial(field, remainder), [Polynomial(field, q) for q in quotients]
+
+
 def reference_basis(
     basis: list[Polynomial], p: Polynomial, ordering: MonomialOrdering, field
 ) -> list[Polynomial]:

@@ -65,6 +65,13 @@ class TestSearch:
         assert cert.exponents == (1, 1)
         assert cert.coeffs == (ring.zero(), ring.zero())
 
+    def test_element_outside_the_ring_is_refused(self):
+        # 7 is 1 in Z/6, but the search would build its powers from 7.
+        with pytest.raises(UnsupportedConfigError, match=r"7 is not an element of Zmod\(6\)"):
+            cl_search(ModularRing(6), (7,), 3)
+        with pytest.raises(UnsupportedConfigError, match=r"True is not an element of ZZ"):
+            cl_search(ZZ, (True, 2), 3)
+
     def test_quotient_element_not_in_normal_form_is_refused(self):
         # x*y is 1 in this ring; unreduced, the answer would depend on the
         # spelling: exponents (0, 0) with coefficients (0, y), against

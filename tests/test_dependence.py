@@ -245,6 +245,48 @@ class TestSearchOtherConfigs:
         r = cfg.coeff_ring
         assert dict(cert.poly.terms) == {ONE: r.one(), m((1, 1)): r.from_int(-1)}
 
+    @pytest.mark.parametrize(
+        "config, elems, shown",
+        [
+            # Unchecked, each could give a relation that holds in Python
+            # arithmetic but not in the ring: 1 - 2*x1 vanishes at 1/2.
+            (ZZ_CFG, (Fraction(1, 2), 3), r"Fraction\(1, 2\) is not an element of ZZ"),
+            (ZZ_CFG, (2.0, 3), r"2\.0 is not an element of ZZ"),
+            (ZZ_CFG, (True, 3), r"True is not an element of ZZ"),
+            (ZZ_CFG, ("2", 3), r"'2' is not an element of ZZ"),
+            (AlgebraConfig(ModularRing(6), ModularRing(6)), (7,), r"7 is not an element of Zmod\(6\)"),
+            (AlgebraConfig(ZZ, ModularRing(6)), (2, 7), r"7 is not an element of Zmod\(6\)"),
+        ],
+    )
+    def test_element_outside_the_algebra_is_refused(self, config, elems, shown):
+        with pytest.raises(UnsupportedConfigError, match=shown):
+            search_submonic_relation(config, elems, GrevLex(), 2)
+
+    def test_polynomial_over_another_base_is_refused(self):
+        pq, pz = parse_ring_text("Poly(QQ; x,y)"), parse_ring_text("Poly(ZZ; x,y)")
+        elems = (parse_elem("x", pz), parse_elem("y", pz))
+        for cfg in (AlgebraConfig(QQ, pq), AlgebraConfig(pq, pq)):
+            with pytest.raises(UnsupportedConfigError, match=r"is not an element of Poly\(QQ; x,y\)"):
+                search_submonic_relation(cfg, elems, GrevLex(), 2)
+
+    def test_matrix_pool_element_outside_the_algebra_is_refused(self):
+        with pytest.raises(UnsupportedConfigError, match=r"Fraction\(1, 2\) is not an element of ZZ"):
+            dependence_matrix(ZZ_CFG, [2, 3, Fraction(1, 2)], 2, GrevLex(), 2)
+
+    def test_certificate_over_elements_outside_the_algebra_fails(self):
+        # 1 - 2*x1 vanishes at 1/2 in Python arithmetic, but 1/2 is not in ZZ.
+        cert = SubmonicCertificate(
+            config=ZZ_CFG,
+            elements=(Fraction(1, 2), 3),
+            ordering=GrevLex(),
+            poly=Polynomial(ZZ, {ONE: 1, m((1, 1)): -2}),
+            trailing=ONE,
+            degree_bound=2,
+        )
+        assert check_certificate(cert) == "element Fraction(1, 2) is not in ZZ"
+        cert.elements = (2, 3)
+        assert check_certificate(cert) == "relation does not evaluate to zero"
+
     def test_plain_field_single_element(self):
         cfg = AlgebraConfig(QQ, QQ)
         verdict = search_submonic_relation(cfg, (QQ.from_int(5),), Lex(), 1)

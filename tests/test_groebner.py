@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,9 +11,11 @@ from propcheck import (
     check_spoly_reduction,
     checked_completions,
     random_monomial,
+    reference_divide,
 )
 from trdeg.groebner import (
     GroebnerBasis,
+    _divide,
     buchberger,
     membership_cofactors,
     normal_form,
@@ -20,7 +23,8 @@ from trdeg.groebner import (
     staircase_dimension,
     staircase_dimension_from_gb,
 )
-from trdeg.orderings import GrevLex, GrLex, Lex, ordering_from_text
+from trdeg.monomials import Monomial
+from trdeg.orderings import GrevLex, GrLex, Lex, MatrixOrder, WeightedLex, ordering_from_text
 from trdeg.parsing import parse_elem, parse_ring_text
 from trdeg.polynomials import Polynomial
 from trdeg.rings import QQ, PolyRing, PrimeField
@@ -157,6 +161,80 @@ class TestNormalForm:
     def test_square_reduces_modulo_difference(self):
         gb = buchberger(polys(R2, "t1 - t2"), Lex(), QQ)
         assert normal_form(parse_elem("t1^2", R2), gb) == parse_elem("t2^2", R2)
+
+
+def terms_in_order(p):
+    """p's terms in dict order, coefficients by repr, so that 2 and
+    Fraction(2, 1) differ."""
+    return [(m.vector, repr(c)) for m, c in p.terms.items()]
+
+
+def assert_same_division(got, want):
+    (r, quots), (want_r, want_q) = got, want
+    assert terms_in_order(r) == terms_in_order(want_r)
+    assert [terms_in_order(q) for q in quots] == [terms_in_order(q) for q in want_q]
+
+
+def monic(p, ordering, field):
+    return p.scale(field.div(field.one(), p.terms[ordering.max(p.terms)]))
+
+
+class TestDivisionOracle:
+    # The heap-ordered division against propcheck.reference_divide: the same
+    # remainder and the same quotients, term order and coefficient forms
+    # included, under every ordering family.
+    ORDERINGS = [
+        Lex(),
+        GrLex(),
+        GrevLex(),
+        Lex((2, 3, 1)),
+        GrLex((3, 1, 2)),
+        GrevLex((3, 1, 2)),
+        WeightedLex([Fraction(3, 2), Fraction(1, 3), 2]),
+        MatrixOrder([[1, 2, 1], [0, 0, 1], [1, 0, 0]]),
+    ]
+    SAMPLERS = {
+        QQ: lambda r: QQ.div(r.randint(-4, 4), r.randint(1, 3)),
+        PrimeField(7): lambda r: r.randrange(7),
+    }
+
+    def _poly(self, rng, field, terms, maxdeg):
+        sample = self.SAMPLERS[field]
+        return Polynomial(field, {random_monomial(rng, 3, maxdeg): sample(rng) for _ in range(terms)})
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.to_text())
+    def test_seeded_divisions_match_reference(self, field, ordering):
+        rng = random.Random(f"divide:{field}:{ordering.to_text()}")
+        for _ in range(12):
+            divisors = [
+                monic(g, ordering, field)
+                for g in (self._poly(rng, field, rng.randint(1, 4), 3) for _ in range(rng.randint(1, 4)))
+                if g
+            ]
+            leads = [ordering.max(g.terms) for g in divisors]
+            p = self._poly(rng, field, rng.randint(1, 8), 5)
+            want = reference_divide(p, divisors, leads, ordering, field)
+            assert_same_division(_divide(p, divisors, leads, ordering, field), want)
+
+            gb = buchberger(divisors, ordering, field)
+            want = reference_divide(p, gb.polys, gb.leads, ordering, field)
+            assert_same_division(normal_form_with_quotients(p, gb), want)
+            assert terms_in_order(normal_form(p, gb)) == terms_in_order(want[0])
+
+    def test_cancelled_term_that_reenters(self):
+        # Lex, x > y.  Reducing x^2 by x + y cancels x*y, whose heap entry
+        # stays behind; reducing x*y^2 by y^2 + y brings x*y back, so it is
+        # queued twice and the stale entry is popped after it is gone.
+        ring = PolyRing(QQ, ("x", "y"))
+        x, y = Monomial.var(1), Monomial.var(2)
+        divisors = polys(ring, "y^2 + y", "x + y")
+        leads = [y * y, x]
+        p = parse_elem("x^2 + x*y + x*y^2", ring)
+        r, quots = _divide(p, divisors, leads, Lex(), QQ)
+        assert r == parse_elem("-y", ring)
+        assert quots == polys(ring, "x + 1", "x - y")
+        assert_same_division((r, quots), reference_divide(p, divisors, leads, Lex(), QQ))
 
 
 class TestMembership:

@@ -222,6 +222,48 @@ class TestRings:
         with pytest.raises(ZeroDivisionError):
             QQ.div(Fraction(1), Fraction(0))
 
+    @pytest.mark.parametrize(
+        "ring_text, value, expected",
+        [
+            ("ZZ", 3, True),
+            ("ZZ", -7, True),
+            ("ZZ", True, False),
+            ("ZZ", Fraction(1, 2), False),
+            ("ZZ", 2.0, False),
+            ("ZZ", "2", False),
+            ("QQ", 3, True),
+            ("QQ", Fraction(1, 2), True),
+            ("QQ", False, False),
+            ("QQ", 0.5, False),
+            ("Zmod(6)", 5, True),
+            ("Zmod(6)", 6, False),
+            ("Zmod(6)", -1, False),
+            ("Zmod(6)", True, False),
+            ("GF(7)", 6, True),
+            ("GF(7)", 7, False),
+            ("GF(7)", Fraction(1, 2), False),
+        ],
+    )
+    def test_contains_scalars(self, ring_text, value, expected):
+        assert parse_ring_text(ring_text).contains(value) is expected
+
+    def test_contains_polynomials(self):
+        pq, pz = parse_ring_text("Poly(QQ; x,y)"), parse_ring_text("Poly(ZZ; x,y)")
+        x = pq.var(1)
+        assert pq.contains(x) and pq.contains(pq.zero())
+        assert pq.contains(Polynomial(QQ, {Monomial.var(2): Fraction(1, 2)}))
+        assert not pq.contains(pz.var(1))  # over ZZ, not QQ
+        assert not pq.contains(Polynomial(QQ, {Monomial.var(3): 1}))  # x3
+        assert not pq.contains(Polynomial(QQ, {Monomial.var(1): 0.5}))
+        assert not pz.contains(Polynomial(ZZ, {Monomial.var(1): Fraction(1, 2)}))
+        assert not pq.contains(1)
+        g7 = parse_ring_text("Poly(GF(7); x)")
+        assert not g7.contains(Polynomial(g7.base, {ONE: 9}))
+        quot = parse_ring_text("Quot(Poly(QQ; x,y); [x*y - 1])")
+        assert quot.contains(parse_elem("x*y", quot))  # reduced: 1
+        assert not quot.contains(parse_elem("x*y", quot.poly_ring))
+        assert not quot.contains(pz.var(1))
+
     def test_qq_values_are_canonical(self):
         # An integral rational is an int, never Fraction(k, 1).
         def canonical(v):
