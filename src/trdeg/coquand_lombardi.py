@@ -137,6 +137,10 @@ def cl_check(cert: CLCertificate) -> Optional[str]:
         return "exponent and coefficient counts must match the element count"
     if any(m < 0 for m in cert.exponents):
         return "exponents must be nonnegative"
+    for kind, values in (("element", cert.elements), ("coefficient", cert.coeffs)):
+        for v in values:
+            if not ring.contains(v):
+                return f"{kind} {v!r} is not in {ring}"
     target, gens = _cl_sides(ring, cert.elements, cert.exponents)
     total = ring.zero()
     for r, g in zip(cert.coeffs, gens):

@@ -212,10 +212,15 @@ def check_certificate(cert: SubmonicCertificate) -> Optional[str]:
     f = cert.poly
     if not f:
         return "polynomial is zero"
-    algebra = cert.config.algebra
+    algebra, r = cert.config.algebra, cert.config.coeff_ring
     for e in cert.elements:
         if not algebra.contains(e):
             return f"element {e!r} is not in {algebra}"
+    if f.ring != r:
+        return f"polynomial is over {f.ring}, not {r}"
+    for c in f.terms.values():
+        if not r.contains(c):
+            return f"coefficient {c!r} is not in {r}"
     n = len(cert.elements)
     if f.max_var_index() > n:
         return f"polynomial uses x{f.max_var_index()} but only {n} elements are given"
@@ -227,7 +232,7 @@ def check_certificate(cert: SubmonicCertificate) -> Optional[str]:
     t, c = trailing_term(f, cert.ordering)
     if t != cert.trailing:
         return "stated trailing monomial differs from the computed one"
-    if not cert.config.coeff_ring.is_one(c):
+    if not r.is_one(c):
         return "trailing coefficient is not 1"
     value = cert.evaluate()
     if value:

@@ -26,13 +26,21 @@ active elements only, so a tracked remainder's cofactor row is combined from
 the active elements' rows.  The reduced basis does not depend on the pair
 rule; cofactor rows, and with them certificates, do.
 
-Each element is made monic as it enters the basis, together with its
-cofactor row, so neither S-polynomials nor division divide by a leading
-coefficient.  The basis buchberger returns is reduced (minimal,
-inter-reduced, monic, sorted by ascending leading monomial), hence canonical
-for the ideal and ordering.  Inter-reduction takes one pass: the leading
-monomials of a minimal basis are pairwise indivisible and reducing a tail
-never changes them, so a tail reduced once stays reduced.
+An untracked basis over QQ is integral: it keeps each element as a
+primitive integer polynomial with a positive leading coefficient, so its
+S-polynomials and divisions run on integers, fraction-free (the idea of
+Bareiss, Math. Comp. 1968).  An S-polynomial takes the cofactors L_j/g and
+L_i/g of the leading coefficients, g = gcd(L_i, L_j), and a division step by
+a leading coefficient L other than 1 scales the work by L/gcd(lc, L) first
+(see _remainder).  Every other basis, tracked or over GF(p), makes each
+element monic as it enters, together with its cofactor row, so cofactors
+and certificates carry no scale.  Every reduced basis is monic:
+_reduce_basis makes an integral basis monic, and the basis buchberger
+returns is reduced (minimal, inter-reduced, monic, sorted by ascending
+leading monomial), hence canonical for the ideal and ordering.
+Inter-reduction takes one pass: the leading monomials of a minimal basis
+are pairwise indivisible and reducing a tail never changes them, so a tail
+reduced once stays reduced.
 
 Every division (normal_form, the tracked quotients, the pair loop, add,
 inter-reduction and QuotRing.reduce) runs one loop, _remainder, a sparse
@@ -40,11 +48,16 @@ division that keeps the work as a term dict beside a heap of its monomials,
 greatest first (Johnson 1974; Monagan & Pearce 2007).  Each monomial's
 ordering key is computed once, when it enters the work, the leading term is
 a heap pop, and a reduction step touches only the divisor's terms.
+normal_form and normal_form_with_quotients answer exactly on every basis:
+on an integral one, p's denominators are cleared on entry and the result is
+divided by the accumulated scale once at the end.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -52,6 +65,7 @@ from .errors import InternalInconsistencyError
 from .monomials import Monomial
 from .orderings import MonomialOrdering
 from .polynomials import Polynomial, leading_term
+from .rings import QQ
 
 
 def _rep_minus(rep, quots, reps) -> list[Polynomial]:
@@ -84,20 +98,26 @@ def _remainder(
     ordering: MonomialOrdering,
     field,
     quotients: Optional[list[dict[Monomial, object]]] = None,
-) -> Polynomial:
-    """Remainder r of full division by monic divisors with leading monomials
-    leads: p == sum(q_i * divisors_i) + r with no monomial of r divisible by
+) -> tuple[Polynomial, int]:
+    """(r, scale) of full division by divisors with leading monomials leads:
+    scale * p == sum(q_i * divisors_i) + r with no monomial of r divisible by
     any lead.  The terms of q_i are written into quotients[i] when quotients
     is given.  The leading monomial of the work strictly falls, so each
     quotient and remainder monomial is written once.
 
     The work is a term dict beside a heap of its monomials, greatest first,
     and a monomial's ordering key is computed once, when it enters the dict.
-    A step pops the leading term and subtracts lc * mon * divisor term by
-    term, the divisor's leading term included, which cancels the popped term
-    since the divisor is monic; a term that no lead divides moves to r.  A
-    term that cancels leaves its heap entry behind, and a popped monomial no
-    longer in the dict is skipped."""
+    A step pops the leading term lc * lm and subtracts lc * mon * divisor
+    term by term, the divisor's leading term included, which cancels the
+    popped term; a term that no lead divides moves to r.  A term that cancels leaves its heap entry behind, and a
+    popped monomial no longer in the dict is skipped.
+
+    Each divisor is monic, or p and the divisors have integer coefficients
+    (an integral basis).  A step by a divisor whose leading coefficient L is
+    not 1 first multiplies the work, r and the quotients so far by
+    L / gcd(lc, L) and then subtracts (lc / gcd(lc, L)) * mon * divisor, so
+    everything stays integral; scale is the product of those factors, 1 when
+    every divisor used is monic."""
     key, add, mul, neg = ordering.key, field.add, field.mul, field.neg
     push, pop = heapq.heappush, heapq.heappop
     work = dict(p.terms)
@@ -105,6 +125,7 @@ def _remainder(
     heap = [_Greatest(key(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict[Monomial, object] = {}
+    scale = 1
     while heap:
         lm = pop(heap).mon
         lc = get(lm)
@@ -112,10 +133,21 @@ def _remainder(
             continue
         for i, glm in enumerate(leads):
             if glm.divides(lm):
+                terms = divisors[i].terms
+                top = terms[glm]
+                if top != 1:
+                    d = math.gcd(lc, top)
+                    lc, s = lc // d, top // d
+                    if s != 1:
+                        scale *= s
+                        for part in (work, remainder, *(quotients or ())):
+                            for m, v in part.items():
+                                part[m] = v * s
                 mon = lm.div(glm)
-                for m, v in divisors[i].terms.items():
+                minus = neg(lc)
+                for m, v in terms.items():
                     m = m * mon
-                    c = neg(mul(lc, v))
+                    c = mul(minus, v)
                     old = get(m)
                     if old is None:
                         if c:
@@ -131,7 +163,15 @@ def _remainder(
         else:
             remainder[lm] = lc
             del work[lm]
-    return Polynomial(field, remainder)
+    return Polynomial(field, remainder), scale
+
+
+def _cleared(p: Polynomial) -> tuple[Polynomial, int]:
+    """(den * p, den) for the least den > 0 that makes p's coefficients ints."""
+    if Fraction not in map(type, p.terms.values()):
+        return p, 1
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return p.scale(den), den
 
 
 def _divide(
@@ -141,27 +181,54 @@ def _divide(
     ordering: MonomialOrdering,
     field,
 ) -> tuple[Polynomial, list[Polynomial]]:
-    """(remainder, quotients) of _remainder's division."""
+    """(remainder, quotients) of _remainder's division by monic divisors."""
     quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
-    r = _remainder(p, divisors, leads, ordering, field, quotients)
+    r = _remainder(p, divisors, leads, ordering, field, quotients)[0]
     return r, [Polynomial(field, q) for q in quotients]
 
 
+def _exact_remainder(
+    p: Polynomial, gb: GroebnerBasis, quotients: Optional[list[dict[Monomial, object]]] = None
+) -> Polynomial:
+    """The remainder r of p by gb.polys, p == sum(q_i * gb.polys[i]) + r, with
+    the terms of q_i written into quotients[i] when quotients is given.  On an
+    integral basis p's denominators are cleared on entry, and r and the
+    quotients are divided by the accumulated scale once at the end."""
+    den = 1
+    if gb.integral:
+        p, den = _cleared(p)
+    field = gb.field
+    r, scale = _remainder(p, gb.polys, gb.leads, gb.ordering, field, quotients)
+    scale *= den
+    if scale == 1:
+        return r
+    inv = field.div(field.one(), scale)
+    for q in quotients or ():
+        for m, v in q.items():
+            q[m] = field.mul(v, inv)
+    return r.scale(inv)
+
+
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return _remainder(p, gb.polys, gb.leads, gb.ordering, gb.field)
+    return _exact_remainder(p, gb)
 
 
 def normal_form_with_quotients(
     p: Polynomial, gb: GroebnerBasis
 ) -> tuple[Polynomial, list[Polynomial]]:
-    return _divide(p, gb.polys, gb.leads, gb.ordering, gb.field)
+    quotients: list[dict[Monomial, object]] = [{} for _ in gb.polys]
+    r = _exact_remainder(p, gb, quotients)
+    return r, [Polynomial(gb.field, q) for q in quotients]
 
 
 class GroebnerBasis:
     """A Groebner basis of the ideal of everything appended, once complete
     has run; leads[i] is the leading monomial of polys[i].  With track,
     reps[i] is combined from the rows given to append exactly as polys[i] is
-    combined from the appended generators.
+    combined from the appended generators.  Untracked over QQ, the basis is
+    integral: it keeps each element primitive in ZZ[x] with a positive
+    leading coefficient, until _reduce_basis makes it monic; every other
+    basis keeps monic elements (see the module docstring).
 
     Pairs are pruned when they are formed, by the Gebauer-Moeller update (see
     the module docstring), and only the active elements divide; polys, leads
@@ -174,6 +241,7 @@ class GroebnerBasis:
         self.polys: list[Polynomial] = []
         self.leads: list[Monomial] = []
         self.reps: Optional[list[list[Polynomial]]] = [] if track else None
+        self.integral = not track and field == QQ
         # (ordering key of the lcm, i, j, lcm) of every queued pair i < j.
         self._heap: list[tuple] = []
         # The indices of the active elements, those whose leading monomial no
@@ -183,10 +251,13 @@ class GroebnerBasis:
         self._divisors: tuple[list[Polynomial], list[Monomial]] = ([], [])
 
     def append(self, g: Polynomial, rep: Optional[list[Polynomial]] = None) -> None:
-        """Add g != 0 and its cofactor row, both scaled so g is monic, and its pairs."""
+        """Add g != 0 and its cofactor row, both scaled so g is monic (in an
+        integral basis: g alone, so it is primitive with lc > 0), and its pairs."""
         lm, lc = leading_term(g, self.ordering)
         field = self.field
-        if not field.is_one(lc):
+        if self.integral:
+            g = _primitive(g, lc)
+        elif not field.is_one(lc):
             inv = field.div(field.one(), lc)
             g = g.scale(inv)
             if self.reps is not None:
@@ -205,8 +276,10 @@ class GroebnerBasis:
         leads = self.leads
         pairs = [(leads[k].lcm(lm), k) for k in self._active]
         lcms = {lcm for lcm, _ in pairs}
-        # Product criterion: a class with coprime leading monomials goes whole.
-        coprime = {lcm for lcm, k in pairs if lcm == leads[k] * lm}
+        # Product criterion: a class with coprime leading monomials, whose
+        # lcm is their product, so its degree is the sum, goes whole.
+        degree = lm.degree
+        coprime = {lcm for lcm, k in pairs if lcm.degree == leads[k].degree + degree}
         kept: dict[Monomial, int] = {}
         for lcm, k in pairs:
             if lcm in kept or lcm in coprime:
@@ -234,21 +307,27 @@ class GroebnerBasis:
         """Reduce the S-polynomial of every queued pair, appending nonzero
         remainders (whose pairs join the queue), until no pair is left."""
         polys, leads, reps = self.polys, self.leads, self.reps
-        one = self.field.one()
         while self._heap:
             _, i, j, lcm = heapq.heappop(self._heap)
             mon_i = lcm.div(leads[i])
             mon_j = lcm.div(leads[j])
-            s = polys[i].mul_term(mon_i, one) - polys[j].mul_term(mon_j, one)
+            # The leading-coefficient cofactors, 1 and 1 unless integral.
+            c_i = c_j = 1
+            if self.integral:
+                top_i, top_j = polys[i].terms[leads[i]], polys[j].terms[leads[j]]
+                if top_i != top_j:
+                    d = math.gcd(top_i, top_j)
+                    c_i, c_j = top_j // d, top_i // d
+            s = polys[i].mul_term(mon_i, c_i) - polys[j].mul_term(mon_j, c_j)
             if reps is None:
-                r = _remainder(s, *self._divisors, self.ordering, self.field)
+                r = _remainder(s, *self._divisors, self.ordering, self.field)[0]
                 if r:
                     self.append(r)
                 continue
             r, quots = _divide(s, *self._divisors, self.ordering, self.field)
             if r:
                 rep = [
-                    a.mul_term(mon_i, one) - b.mul_term(mon_j, one)
+                    a.mul_term(mon_i, c_i) - b.mul_term(mon_j, c_j)
                     for a, b in zip(reps[i], reps[j])
                 ]
                 self.append(r, _rep_minus(rep, quots, [reps[k] for k in self._active]))
@@ -259,7 +338,9 @@ class GroebnerBasis:
         a tracked basis is refused before anything changes."""
         if self.reps is not None:
             raise ValueError("add needs an untracked basis: it has no cofactor row for p")
-        r = _remainder(p, *self._divisors, self.ordering, self.field)
+        if self.integral:
+            p = _cleared(p)[0]
+        r = _remainder(p, *self._divisors, self.ordering, self.field)[0]
         if not r:
             return True
         self.append(r)
@@ -269,6 +350,16 @@ class GroebnerBasis:
     def is_full(self) -> bool:
         """True when the ideal is the whole ring."""
         return any(lm.is_one() for lm in self.leads)
+
+
+def _primitive(g: Polynomial, lc) -> Polynomial:
+    """The primitive integer polynomial with a positive leading coefficient
+    that is a rational multiple of g, whose leading coefficient is lc."""
+    g = _cleared(g)[0]
+    content = math.gcd(*g.terms.values())
+    if lc < 0:
+        content = -content
+    return g if content == 1 else Polynomial(g.ring, {m: c // content for m, c in g.terms.items()})
 
 
 def buchberger(
@@ -301,12 +392,16 @@ def _reduce_basis(basis: GroebnerBasis) -> None:
     polys = [polys[k] for k in keep]
     leads = [leads[k] for k in keep]
     kept_reps = [reps[k] for k in keep] if reps is not None else None
+    if basis.integral:
+        one = field.one()
+        polys = [g.scale(field.div(one, g.terms[lm])) for g, lm in zip(polys, leads)]
+        basis.integral = False
 
     # Inter-reduce tails; one pass suffices (see the module docstring).
     for i in range(len(polys)):
         others = leads[:i] + leads[i + 1 :]
         if reps is None:
-            polys[i] = _remainder(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)
+            polys[i] = _remainder(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)[0]
             continue
         polys[i], quots = _divide(polys[i], polys[:i] + polys[i + 1 :], others, ordering, field)
         kept_reps[i] = _rep_minus(kept_reps[i], quots, kept_reps[:i] + kept_reps[i + 1 :])

@@ -1,4 +1,11 @@
-"""Monomials in variables x1, x2, ... (1-based indices)."""
+"""Monomials in variables x1, x2, ... (1-based indices).
+
+Monomials are interned: every way of building one (Monomial(pairs), var, *,
+div, lcm, monomials_up_to_degree, and copy, deepcopy and pickle) returns the
+one object kept for its exponent vector, so equal monomials are identical and
+compare and hash by identity, in C.  The table keeps one entry per exponent
+vector ever built, for the life of the process.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +16,16 @@ from typing import Iterable, Iterator
 class Monomial:
     """An exponent vector stored densely: vector[i - 1] is the exponent of xi.
 
-    Immutable by convention; trailing zero exponents are never stored, so
-    equal monomials compare and hash equal.  The empty vector is the
-    constant 1.  Monomial(pairs) builds one from (index, exponent) pairs and
-    checks them; products, quotients, lcms and var() skip that check.
+    Immutable by convention, and shared: each exponent vector has one
+    interned object (see the module docstring), so equality is identity.
+    Trailing zero exponents are never stored.  The empty vector is the
+    constant 1.  Monomial(pairs) returns the one for (index, exponent) pairs
+    and checks them; products, quotients, lcms and var() skip that check.
     """
 
     __slots__ = ("vector", "degree")
 
-    def __init__(self, exps: Iterable[tuple[int, int]] = ()):
+    def __new__(cls, exps: Iterable[tuple[int, int]] = ()) -> "Monomial":
         vec: list[int] = []
         for index, exp in exps:
             if index < 1:
@@ -28,14 +36,20 @@ class Monomial:
                 if index > len(vec):
                     vec.extend([0] * (index - len(vec)))
                 vec[index - 1] += exp
-        self.vector: tuple[int, ...] = tuple(vec)
-        self.degree: int = sum(vec)
+        return _monomial(tuple(vec))
+
+    def __init__(self, exps: Iterable[tuple[int, int]] = ()):
+        """Nothing to set: __new__ returned the interned monomial, built once."""
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling look the vector up again.
+        return _monomial, (self.vector,)
 
     @classmethod
     def var(cls, index: int, exp: int = 1) -> "Monomial":
         if index < 1 or exp < 0:
             raise ValueError(f"no monomial x{index}^{exp}")
-        return _monomial((0,) * (index - 1) + (exp,) if exp else (), exp)
+        return _monomial((0,) * (index - 1) + (exp,) if exp else ())
 
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
@@ -59,7 +73,7 @@ class Monomial:
         a, b = self.vector, other.vector
         if len(a) < len(b):
             a, b = b, a
-        return _monomial(tuple(map(add, a, b)) + a[len(b):], self.degree + other.degree)
+        return _monomial(tuple(map(add, a, b)) + a[len(b):])
 
     def divides(self, other: "Monomial") -> bool:
         a, b = self.vector, other.vector
@@ -70,25 +84,18 @@ class Monomial:
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
         a, b = self.vector, other.vector
-        return _monomial(_trim(tuple(map(sub, a, b)) + a[len(b):]), self.degree - other.degree)
+        return _monomial(_trim(tuple(map(sub, a, b)) + a[len(b):]))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         a, b = self.vector, other.vector
         if len(a) < len(b):
             a, b = b, a
-        vec = tuple(map(max, a, b)) + a[len(b):]
-        return _monomial(vec, sum(vec))
+        return _monomial(tuple(map(max, a, b)) + a[len(b):])
 
     def natural_key(self) -> tuple:
         """Ordering-independent sort key, for deterministic bookkeeping only:
         degree, then the sorted (index, exponent) pairs."""
         return (self.degree, self.exps)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.vector == other.vector
-
-    def __hash__(self) -> int:
-        return hash(self.vector)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.exps)
@@ -99,10 +106,16 @@ class Monomial:
         return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in self.exps)
 
 
-def _monomial(vector: tuple[int, ...], degree: int) -> Monomial:
-    """A Monomial from a vector without trailing zeros and its degree, unchecked."""
-    m = object.__new__(Monomial)
-    m.vector, m.degree = vector, degree
+# Every Monomial ever built, by its exponent vector.
+_INTERNED: dict[tuple[int, ...], Monomial] = {}
+
+
+def _monomial(vector: tuple[int, ...]) -> Monomial:
+    """The interned Monomial of a vector without trailing zeros, unchecked."""
+    m = _INTERNED.get(vector)
+    if m is None:
+        m = _INTERNED[vector] = object.__new__(Monomial)
+        m.vector, m.degree = vector, sum(vector)
     return m
 
 
@@ -127,7 +140,7 @@ def monomials_up_to_degree(nvars: int, maxdeg: int) -> list[Monomial]:
     if maxdeg < 0:
         raise ValueError("degree bound must be nonnegative")
     return [
-        _monomial(_trim(vec), total)
+        _monomial(_trim(vec))
         for total in range(maxdeg + 1)
         for vec in compositions(total, nvars)
     ]

@@ -382,12 +382,14 @@ def reference_basis(
     basis, and p, by Buchberger's algorithm with no pair criterion: each new
     element's S-polynomial with every element, least lcm first, is divided by
     every element, and a nonzero remainder joins.  Then the elements whose
-    leading monomial another one divides go, and each is reduced by the rest."""
+    leading monomial another one divides go, and each is reduced by the rest.
+    Every division is reference_divide's, so the reference shares no division
+    code with the basis it checks."""
     one = field.one()
     polys = list(basis)
     leads = [leading_term(g, ordering)[0] for g in polys]
     pairs: list[tuple[int, int]] = []
-    p = _remainder(p, polys, leads, ordering, field)
+    p = reference_divide(p, polys, leads, ordering, field)[0]
     while True:
         if p:
             lm, lc = leading_term(p, ordering)
@@ -400,20 +402,20 @@ def reference_basis(
         pairs.remove((i, j))
         lcm = leads[i].lcm(leads[j])
         s = polys[i].mul_term(lcm.div(leads[i]), one) - polys[j].mul_term(lcm.div(leads[j]), one)
-        p = _remainder(s, polys, leads, ordering, field)
+        p = reference_divide(s, polys, leads, ordering, field)[0]
     # Ascending, a divisor of a leading monomial comes before it.
     keep: list[int] = []
     for k in sorted(range(len(polys)), key=lambda k: ordering.key(leads[k])):
         if not any(leads[m].divides(leads[k]) for m in keep):
             keep.append(k)
     return [
-        _remainder(
+        reference_divide(
             polys[k],
             [polys[m] for m in keep if m != k],
             [leads[m] for m in keep if m != k],
             ordering,
             field,
-        )
+        )[0]
         for k in keep
     ]
 
@@ -426,7 +428,10 @@ def check_incremental_basis(rng: random.Random, count: int) -> int:
     does.  After every add the active elements form a Groebner basis (every
     S-polynomial of two of them reduces to 0 by them alone) with pairwise
     indivisible leading monomials, and add answered membership; the reduced
-    result is the reduced basis."""
+    result is the reduced basis.  Over QQ the active elements are primitive
+    integer polynomials with a positive leading coefficient, and each
+    S-polynomial takes the leading-coefficient cofactors L_b/g and L_a/g,
+    g = gcd(L_a, L_b), so that it is the same S-polynomial up to a scalar."""
     samplers = {
         QQ: lambda r: Fraction(r.randint(-4, 4), r.randint(1, 3)),
         GF(7): lambda r: r.randrange(7),
@@ -454,11 +459,17 @@ def check_incremental_basis(rng: random.Random, count: int) -> int:
             assert gb.add(p) == (reference == previous), "add answers membership"
             active = [gb.polys[k] for k in gb._active]
             leads = [gb.leads[k] for k in gb._active]
+            if field == QQ:
+                for f, a in zip(active, leads):
+                    assert all(type(c) is int for c in f.terms.values()), "integer element"
+                    assert gcd(*f.terms.values()) == 1 and f.terms[a] > 0, "primitive element"
             for (f, a), (g, b) in combinations(zip(active, leads), 2):
                 assert not a.divides(b) and not b.divides(a), "active leads are indivisible"
                 lcm = a.lcm(b)
-                s = f.mul_term(lcm.div(a), field.one()) - g.mul_term(lcm.div(b), field.one())
-                assert not _remainder(s, active, leads, ordering, field), "S-polynomial is not 0"
+                top_a, top_b = f.terms[a], g.terms[b]
+                d = gcd(top_a, top_b) if field == QQ else 1
+                s = f.mul_term(lcm.div(a), field.div(top_b, d)) - g.mul_term(lcm.div(b), field.div(top_a, d))
+                assert not _remainder(s, active, leads, ordering, field)[0], "S-polynomial is not 0"
         _reduce_basis(gb)
         assert gb.polys == reference, "reduced basis"
     return count

@@ -1,5 +1,6 @@
 """Boundary-ideal membership certificates and the finite ring dimension test."""
 
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -133,6 +134,21 @@ class TestCertificate:
         assert cl_check(wrong) == (
             "membership identity does not hold for the stated coefficients"
         )
+
+    def test_values_outside_the_ring_fail(self):
+        # Each identity holds in Python arithmetic, 1 == 1/2 * 2 and
+        # 1 == 2 * 1/2, but 1/2 is not in ZZ.
+        assert cl_check(CLCertificate(ZZ, (2,), (0,), (Fraction(1, 2),))) == (
+            "coefficient Fraction(1, 2) is not in ZZ"
+        )
+        assert cl_check(CLCertificate(ZZ, (Fraction(1, 2),), (0,), (2,))) == (
+            "element Fraction(1, 2) is not in ZZ"
+        )
+        assert cl_check(CLCertificate(ModularRing(12), (2,), (2,), (14,))) == (
+            "coefficient 14 is not in Zmod(12)"
+        )
+        with pytest.raises(ValueError, match="does not verify"):
+            cl_to_submonic(CLCertificate(ZZ, (2,), (0,), (Fraction(1, 2),)))
 
     def test_json_roundtrip(self):
         cert = cl_search(ModularRing(12), (2,), 5)

@@ -287,6 +287,23 @@ class TestSearchOtherConfigs:
         cert.elements = (2, 3)
         assert check_certificate(cert) == "relation does not evaluate to zero"
 
+    def test_certificate_with_coefficients_outside_the_ring_fails(self):
+        # 1 - 1/2*x1 vanishes at 2, but 1/2 is not in ZZ: no ZZ relation.
+        cert = SubmonicCertificate(
+            config=ZZ_CFG,
+            elements=(2,),
+            ordering=GrevLex(),
+            poly=Polynomial(ZZ, {ONE: 1, m((1, 1)): Fraction(-1, 2)}),
+            trailing=ONE,
+            degree_bound=2,
+        )
+        assert check_certificate(cert) == "coefficient Fraction(-1, 2) is not in ZZ"
+        cert.poly = Polynomial(QQ, {ONE: 1, m((1, 1)): Fraction(-1, 2)})
+        assert check_certificate(cert) == "polynomial is over QQ, not ZZ"
+        cert.poly = Polynomial(ZZ, {ONE: 1, m((1, 2)): -1})
+        cert.elements = (1,)
+        assert check_certificate(cert) is None
+
     def test_plain_field_single_element(self):
         cfg = AlgebraConfig(QQ, QQ)
         verdict = search_submonic_relation(cfg, (QQ.from_int(5),), Lex(), 1)
@@ -1037,6 +1054,29 @@ class TestIdealSweep:
         elems = tuple(parse_elem(t, ring) for t in ("y*z + 3*x*y", "y + 3*x^2", "x*z + x"))
         assert search_submonic_relation(cfg, elems, GrevLex(), 4) == NoRelationUpTo(4)
         assert _per_candidate_ideal_search(cfg, elems, GrevLex(), 4) == (None, None)
+
+    def test_three_binomials_sweep_coefficients_stay_small(self, monkeypatch):
+        # The sweep's basis over QQ keeps primitive integer elements, and its
+        # divisions scale the work to stay integral.  On the hard input at
+        # maxdeg 4 the 144 elements' largest coefficient has 9 bits, as the
+        # numerators of the monic elements had; content left in, or a scale
+        # left on an element, would show here first.
+        bases = []
+
+        class Recording(GroebnerBasis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                bases.append(self)
+
+        monkeypatch.setattr(dependence, "GroebnerBasis", Recording)
+        ring = parse_ring_text("Poly(QQ; x,y,z)")
+        elems = tuple(parse_elem(t, ring) for t in ("y*z + 3*x*y", "y + 3*x^2", "x*z + x"))
+        verdict = search_submonic_relation(AlgebraConfig(ring, ring), elems, GrevLex(), 4)
+        assert verdict == NoRelationUpTo(4)
+        (basis,) = bases
+        coeffs = [c for g in basis.polys for c in g.terms.values()]
+        assert len(basis.polys) == 144 and all(type(c) is int for c in coeffs)
+        assert max(abs(c).bit_length() for c in coeffs) <= 9
 
 
 class TestIdealRouteValues:

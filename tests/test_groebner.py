@@ -1,8 +1,10 @@
 """Buchberger, normal forms, ideal membership, staircase dimension."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,11 +13,14 @@ from propcheck import (
     check_spoly_reduction,
     checked_completions,
     random_monomial,
+    reference_basis,
     reference_divide,
 )
 from trdeg.groebner import (
     GroebnerBasis,
     _divide,
+    _reduce_basis,
+    _remainder,
     buchberger,
     membership_cofactors,
     normal_form,
@@ -235,6 +240,58 @@ class TestDivisionOracle:
         assert r == parse_elem("-y", ring)
         assert quots == polys(ring, "x + 1", "x - y")
         assert_same_division((r, quots), reference_divide(p, divisors, leads, Lex(), QQ))
+
+
+class TestIntegralBasisOracle:
+    # An untracked basis over QQ keeps primitive integer elements with a
+    # positive leading coefficient and divides fraction-free.  Seeded adds
+    # under every ordering family, against propcheck's reference loops, which
+    # work on the monic elements: the same membership answers, exact normal
+    # forms and quotients (scaled by each element's leading coefficient), the
+    # scaled identity of the raw division, and the same reduced basis.
+    def _poly(self, rng, terms, maxdeg):
+        sample = TestDivisionOracle.SAMPLERS[QQ]
+        return Polynomial(QQ, {random_monomial(rng, 3, maxdeg): sample(rng) for _ in range(terms)})
+
+    @pytest.mark.parametrize("ordering", TestDivisionOracle.ORDERINGS, ids=lambda o: o.to_text())
+    def test_seeded_bases_match_reference(self, ordering):
+        rng = random.Random(f"integral:{ordering.to_text()}")
+        for _ in range(6):
+            gb = GroebnerBasis(ordering, QQ)
+            assert gb.integral
+            reference = []
+            adds = [self._poly(rng, rng.randint(1, 4), 3) for _ in range(rng.randint(2, 4))]
+            for g in (g for g in adds if g):
+                previous, reference = reference, reference_basis(reference, g, ordering, QQ)
+                assert gb.add(g) == (reference == previous)
+                for f, lm in zip(gb.polys, gb.leads):
+                    assert all(type(c) is int for c in f.terms.values())
+                    assert gcd(*f.terms.values()) == 1 and f.terms[lm] > 0
+                tops = [f.terms[lm] for f, lm in zip(gb.polys, gb.leads)]
+                monics = [monic(f, ordering, QQ) for f in gb.polys]
+                for p in (self._poly(rng, rng.randint(1, 6), 5), Polynomial(QQ)):
+                    want = reference_divide(p, monics, gb.leads, ordering, QQ)
+                    assert terms_in_order(normal_form(p, gb)) == terms_in_order(want[0])
+                    r, quots = normal_form_with_quotients(p, gb)
+                    scaled = [q.scale(top) for q, top in zip(quots, tops)]
+                    assert_same_division((r, scaled), want)
+
+                    cleared = p.scale(math.lcm(*(c.denominator for c in p.terms.values())))
+                    raw = [{} for _ in gb.polys]
+                    r, scale = _remainder(cleared, gb.polys, gb.leads, ordering, QQ, raw)
+                    raw = [Polynomial(QQ, q) for q in raw]
+                    assert all(type(c) is int for q in raw for c in (*q.terms.values(), *r.terms.values()))
+                    total = sum((q * f for q, f in zip(raw, gb.polys)), r)
+                    assert total == cleared.scale(scale)
+                    assert r == reference_divide(cleared, monics, gb.leads, ordering, QQ)[0].scale(scale)
+            _reduce_basis(gb)
+            assert not gb.integral and gb.polys == reference
+            assert buchberger(adds, ordering, QQ).polys == reference
+            for p in (self._poly(rng, rng.randint(1, 6), 5) for _ in range(3)):
+                assert_same_division(
+                    _divide(p, gb.polys, gb.leads, ordering, QQ),
+                    reference_divide(p, gb.polys, gb.leads, ordering, QQ),
+                )
 
 
 class TestMembership:

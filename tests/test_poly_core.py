@@ -1,6 +1,8 @@
 """Monomials, polynomials, rings, and integer helpers."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -96,6 +98,35 @@ class TestMonomial:
                     b.div(a)
         assert Monomial(((1, 2), (3, 0))) == Monomial.var(1, 2)
         assert hash(Monomial(((1, 2), (3, 0)))) == hash(Monomial.var(1, 2))
+
+    def test_equal_vectors_give_one_object(self):
+        # Monomials are interned, so equality is identity: every way of
+        # building x1^2*x3 returns the same object.
+        x1, x3 = Monomial.var(1), Monomial.var(3)
+        want = Monomial([(1, 2), (3, 1)])
+        ring = parse_ring_text("Poly(QQ; a,b,c)")
+        (parsed,) = parse_elem("a^2*c", ring).terms
+        built = [
+            Monomial([(3, 1), (1, 1), (1, 1), (2, 0)]),
+            x1 * x1 * x3,
+            Monomial.var(1, 2) * x3,
+            Monomial([(1, 3), (3, 2)]).div(x1 * x3),
+            Monomial.var(1, 2).lcm(x3),
+            next(m for m in monomials_up_to_degree(3, 3) if m.vector == (2, 0, 1)),
+            parsed,
+            copy.copy(want),
+            copy.deepcopy(want),
+            copy.deepcopy([want, {want: 1}])[1].popitem()[0],
+            pickle.loads(pickle.dumps(want)),
+        ]
+        assert all(m is want for m in built)
+        assert Monomial() is ONE and ONE.div(ONE) is ONE and Monomial.var(2, 0) is ONE
+        assert copy.deepcopy(ONE) is ONE and pickle.loads(pickle.dumps(ONE)) is ONE
+
+    def test_a_monomial_is_not_its_exponent_tuple(self):
+        m = Monomial([(1, 2), (3, 1)])
+        assert m != m.vector and m.vector != m and m != (2, 0, 1)
+        assert ONE != () and {m: 1}.get((2, 0, 1)) is None
 
     def test_natural_key_is_degree_then_pairs(self):
         rng = random.Random(19)

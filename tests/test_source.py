@@ -34,6 +34,40 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_monomials_are_built_only_through_the_intern_table():
+    # Monomials compare by identity, which holds only while every one comes
+    # from monomials._monomial.  Outside monomials.py no module may allocate
+    # one with object.__new__, give the class an equality of its own, or
+    # subclass it.
+    found = []
+    for path in sorted(Path(trdeg.__file__).parent.glob("*.py")):
+        if path.name == "monomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and any(isinstance(a, ast.Name) and a.id == "Monomial" for a in node.args)
+            ):
+                found.append(f"{path.name}:{node.lineno}: __new__(Monomial)")
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Attribute)
+                and t.attr in ("__eq__", "__hash__", "__ne__")
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "Monomial"
+                for t in node.targets
+            ):
+                found.append(f"{path.name}:{node.lineno}: Monomial equality")
+            elif isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "Monomial" for b in node.bases
+            ):
+                found.append(f"{path.name}:{node.lineno}: subclass of Monomial")
+    assert found == []
+    assert "__eq__" not in vars(Monomial) and "__hash__" not in vars(Monomial)
+    assert Monomial.__eq__ is object.__eq__ and Monomial.__hash__ is object.__hash__
+
+
 def test_private_functions_are_used():
     # A module-level private function that nothing else in the package names
     # is dead code: no caller, and not part of the public surface.
