@@ -62,7 +62,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError
-from .monomials import Monomial
+from .monomials import Monomial, _quotient
 from .orderings import MonomialOrdering
 from .polynomials import Polynomial, leading_term
 from .rings import QQ
@@ -143,7 +143,7 @@ def _remainder(
                         for part in (work, remainder, *(quotients or ())):
                             for m, v in part.items():
                                 part[m] = v * s
-                mon = lm.div(glm)
+                mon = _quotient(lm, glm)
                 minus = neg(lc)
                 for m, v in terms.items():
                     m = m * mon
@@ -309,8 +309,8 @@ class GroebnerBasis:
         polys, leads, reps = self.polys, self.leads, self.reps
         while self._heap:
             _, i, j, lcm = heapq.heappop(self._heap)
-            mon_i = lcm.div(leads[i])
-            mon_j = lcm.div(leads[j])
+            mon_i = _quotient(lcm, leads[i])
+            mon_j = _quotient(lcm, leads[j])
             # The leading-coefficient cofactors, 1 and 1 unless integral.
             c_i = c_j = 1
             if self.integral:
@@ -394,7 +394,10 @@ def _reduce_basis(basis: GroebnerBasis) -> None:
     kept_reps = [reps[k] for k in keep] if reps is not None else None
     if basis.integral:
         one = field.one()
-        polys = [g.scale(field.div(one, g.terms[lm])) for g, lm in zip(polys, leads)]
+        polys = [
+            g if g.terms[lm] == 1 else g.scale(field.div(one, g.terms[lm]))
+            for g, lm in zip(polys, leads)
+        ]
         basis.integral = False
 
     # Inter-reduce tails; one pass suffices (see the module docstring).

@@ -9,13 +9,16 @@ then test the target, and hnf adds the rows and reduces the basis to the
 Hermite form, reading U off the combinations.  The search's ZZ sweep does
 not track.  FieldEchelon, the one field elimination, makes the same walk over
 an echelon form that is not reduced; it serves span membership and the span
-solve on the transposed system, which reads its coefficients by back
-substitution.  Its rows are plain ints (residues mod p, or primitive integer
-rows over QQ), so Fractions appear only in a solve's answer.
+solve on the transposed system, which adds only that system's nonzero rows
+and reads its coefficients by back substitution.  Its rows are plain ints
+(residues mod p, or primitive integer rows over QQ): a QQ vector of ints is
+taken as it is and only one that holds a Fraction has its denominators
+cleared, so Fractions appear only in a solve's answer.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -79,11 +82,14 @@ def _solve_field(target: list, gens: list[list], field: Ring) -> Optional[list]:
     # gens[j] is independent of the earlier generators, and a pivot in the
     # last column means target is outside the span.  Otherwise the generators
     # with a pivot have unique coefficients, read by back substitution from
-    # the last pivot up; the generators without a pivot get 0.
+    # the last pivot up; the generators without a pivot get 0.  A zero row is
+    # a member and changes nothing, so it is not added.
     k = len(gens)
     echelon = FieldEchelon(k + 1, field)
     for i, t in enumerate(target):
-        echelon.add([g[i] for g in gens] + [t])
+        row = [g[i] for g in gens] + [t]
+        if any(row):
+            echelon.add(row)
     rows = echelon.rows
     if k in rows:
         return None
@@ -215,9 +221,10 @@ class FieldEchelon:
     rows maps each pivot column c to a row that is 0 left of c; the form is
     not reduced, and a stored row never changes.  Its multiple is fixed:
       - GF(p): row[c] = 1, entries in range(p);
-      - QQ: row is primitive with row[c] > 0.  add() clears the input's
-        denominators, which leaves its QQ-span alone, and eliminates without
-        fractions (Bareiss, Math. Comp. 1968).
+      - QQ: row is primitive with row[c] > 0.  add() takes a vector of ints
+        as it is and clears the denominators of one that holds a Fraction,
+        which leaves its QQ-span alone; it eliminates without fractions
+        (Bareiss, Math. Comp. 1968).
     add(v) walks v's columns once, as IntLattice.add does: a zero entry is
     skipped, at a pivot column v is eliminated by that row, and at the first
     nonzero free column v is stored as that column's row.  A walk that stores
@@ -241,9 +248,11 @@ class FieldEchelon:
         p = self._p
         if p:
             v = [x % p for x in vec]
-        else:
+        elif Fraction in map(type, vec):
             d = lcm(*(x.denominator for x in vec))
             v = [x.numerator * (d // x.denominator) for x in vec]
+        else:
+            v = vec
         rows = self.rows
         for c in range(self.dim):
             f = v[c]

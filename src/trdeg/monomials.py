@@ -1,10 +1,11 @@
 """Monomials in variables x1, x2, ... (1-based indices).
 
 Monomials are interned: every way of building one (Monomial(pairs), var, *,
-div, lcm, monomials_up_to_degree, and copy, deepcopy and pickle) returns the
-one object kept for its exponent vector, so equal monomials are identical and
-compare and hash by identity, in C.  The table keeps one entry per exponent
-vector ever built, for the life of the process.
+div and its unchecked _quotient, lcm, monomials_up_to_degree, and copy,
+deepcopy and pickle) returns the one object kept for its exponent vector, so
+equal monomials are identical and compare and hash by identity, in C.  The
+table keeps one entry per exponent vector ever built, for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ class Monomial:
         """Exact quotient self / other; requires other.divides(self)."""
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        a, b = self.vector, other.vector
-        return _monomial(_trim(tuple(map(sub, a, b)) + a[len(b):]))
+        return _quotient(self, other)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         a, b = self.vector, other.vector
@@ -117,6 +117,12 @@ def _monomial(vector: tuple[int, ...]) -> Monomial:
         m = _INTERNED[vector] = object.__new__(Monomial)
         m.vector, m.degree = vector, sum(vector)
     return m
+
+
+def _quotient(m: Monomial, d: Monomial) -> Monomial:
+    """m / d for a d known to divide m, unchecked."""
+    a, b = m.vector, d.vector
+    return _monomial(_trim(tuple(map(sub, a, b)) + a[len(b):]))
 
 
 def _trim(vec: tuple[int, ...]) -> tuple[int, ...]:

@@ -294,6 +294,50 @@ class TestIntegralBasisOracle:
                 )
 
 
+class TestQuotientsWithoutRecheck:
+    # A division step divides lm by a lead already found to divide it, and an
+    # S-polynomial divides the pair's lcm by each lead; both quotients go
+    # through the unchecked monomials._quotient, not Monomial.div.
+    def test_division_and_completion_skip_the_checked_div(self, monkeypatch):
+        gens = polys(R3, "2*t1^2*t2 - t3", "3*t1*t2^2 - t1", "t2*t3 + 2*t1")
+        p = parse_elem("t1^3*t2^2 + t2^3*t3 - t1", R3)
+        want_basis = buchberger(gens, GrevLex(), QQ).polys
+        divisors = [monic(g, GrevLex(), QQ) for g in gens]
+        leads = [GrevLex().max(g.terms) for g in divisors]
+        want_division = reference_divide(p, divisors, leads, GrevLex(), QQ)
+
+        def refuse(self, other):
+            raise LookupError(f"Monomial.div({self}, {other})")
+
+        monkeypatch.setattr(Monomial, "div", refuse)
+        r, quots = _divide(p, divisors, leads, GrevLex(), QQ)
+        assert any(quots)
+        assert_same_division((r, quots), want_division)
+        basis = GroebnerBasis(GrevLex(), QQ)
+        for g in gens:
+            basis.append(g)
+        basis.complete()
+        assert len(basis.polys) > len(gens)
+        _reduce_basis(basis)
+        assert basis.polys == want_basis
+        with pytest.raises(LookupError):
+            Monomial.var(1).div(Monomial.var(2))
+
+    def test_monic_elements_are_not_rescaled(self, monkeypatch):
+        # Every element of this integral basis has leading coefficient 1, so
+        # making it monic divides nothing.
+        gens = polys(R2, "t1^2 - t2", "t1*t2 - 1")
+        want = buchberger(gens, GrevLex(), QQ).polys
+
+        def refuse(self, a, b):
+            raise LookupError(f"QQ.div({a}, {b})")
+
+        monkeypatch.setattr(type(QQ), "div", refuse)
+        basis = buchberger(gens, GrevLex(), QQ)
+        assert basis.polys == want
+        assert all(type(c) is int for g in basis.polys for c in g.terms.values())
+
+
 class TestMembership:
     def test_monomial_ideal_example(self):
         gens = polys(R2, "t1^2*t2^2", "t1^3*t2")

@@ -9,12 +9,15 @@ from fractions import Fraction
 import pytest
 
 from propcheck import (
+    ReferenceFieldEchelon,
+    _reduced,
     check_field_echelon_reference,
     check_hnf_postconditions,
     det,
     reference_solve_field,
 )
-from trdeg.linalg import FieldEchelon, IntLattice, hnf, solve_in_span, span_structure
+from trdeg import linalg
+from trdeg.linalg import FieldEchelon, IntLattice, _solve_field, hnf, solve_in_span, span_structure
 from trdeg.rings import QQ, ZZ, ModularRing, PrimeField
 
 
@@ -620,3 +623,134 @@ class TestSolveEqualsReference:
             assert got == full_gauss_jordan_solution(target, gens, ring)
             outcomes.add(got is None)
         assert outcomes == {True, False}
+
+
+def vector_kind(v):
+    """'int', 'fraction' or 'mixed' by the types of a QQ vector's entries."""
+    types = set(map(type, v))
+    return "int" if types <= {int} else "fraction" if types == {Fraction} else "mixed"
+
+
+class TestFieldEchelonIntRows:
+    """Over QQ, FieldEchelon takes a vector of ints as it is and clears the
+    denominators only of a vector that holds a Fraction."""
+
+    def test_int_fraction_and_mixed_vectors_match_reference(self):
+        rng = random.Random(73)
+
+        def entry(kind):
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+        def vector(kind, dim):
+            v = [entry(kind) for _ in range(dim)]
+            if kind == "mixed":
+                v[rng.randrange(dim)] = rng.randint(-9, 9)
+                v[rng.randrange(dim)] = Fraction(rng.randint(-9, 9), rng.randint(2, 6))
+            return v
+
+        def combination(vecs, dim, kind):
+            # Int coefficients keep a combination of int vectors all-int.
+            total = [0] * dim
+            for g in vecs:
+                c = entry(kind)
+                total = [t + c * x for t, x in zip(total, g)]
+            return total
+
+        adds = {(kind, member): 0 for kind in ("int", "fraction", "mixed") for member in (0, 1)}
+        for _ in range(300):
+            dim = rng.randint(1, 6)
+            echelon, reference = FieldEchelon(dim, QQ), ReferenceFieldEchelon(QQ)
+            seen: list[list] = []
+            for _ in range(rng.randint(1, 10)):
+                kind, r = rng.choice(("int", "fraction", "mixed")), rng.random()
+                if r < 0.1:
+                    v = [0 if kind == "int" else Fraction(0)] * dim
+                elif r < 0.5 and seen:
+                    v = combination(rng.sample(seen, rng.randint(1, len(seen))), dim, kind)
+                else:
+                    v = vector(kind, dim)
+                member = echelon.add(v)
+                assert member == reference.add(v), "member flag"
+                assert echelon.rank == reference.rank, "rank"
+                assert echelon.rows.keys() == reference.rows.keys(), "pivot columns"
+                assert _reduced(echelon.rows, QQ) == reference.rows, "reduced rows"
+                adds[vector_kind(v), member] += 1
+                seen.append(v)
+                target = (
+                    combination(seen, dim, kind) if rng.random() < 0.5 else vector(kind, dim)
+                )
+                assert solve_in_span(target, seen, QQ) == reference_solve_field(
+                    target, seen, QQ
+                ), "solve_in_span"
+        # Every kind was added both as a member and as a new row.
+        assert min(adds.values()) >= 20, adds
+
+    def test_int_vectors_do_not_reach_lcm(self, monkeypatch):
+        class LcmCalled(Exception):
+            pass
+
+        def refuse(*args):
+            raise LcmCalled(args)
+
+        monkeypatch.setattr(linalg, "lcm", refuse)
+        ech = FieldEchelon(3, QQ)
+        assert ech.add([2, 4, 6]) is False
+        assert ech.add([-1, -2, -3]) is True
+        assert ech.add([0, 0, 5]) is False
+        assert ech.rows == {0: [1, 2, 3], 2: [0, 0, 1]}
+        assert solve_in_span([3, 6, 10], [[1, 2, 3], [0, 0, 2]], QQ) == [3, Fraction(1, 2)]
+        assert solve_in_span([1, 0, 0], [[0, 1, 0]], QQ) is None
+        # A vector that holds a Fraction is still cleared.
+        with pytest.raises(LcmCalled):
+            ech.add([Fraction(1, 2), 0, 0])
+        with pytest.raises(LcmCalled):
+            solve_in_span([Fraction(1, 2), 0, 0], [[1, 0, 0]], QQ)
+
+
+class TestFieldSolveSkipsZeroRows:
+    """A zero row of [G^T | target] is a member that changes nothing, so the
+    field solve does not add it."""
+
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    def test_shared_zero_coordinates_match_reference(self, ring, monkeypatch):
+        added = []
+        add = FieldEchelon.add
+
+        def recording(self, vec):
+            added.append(list(vec))
+            return add(self, vec)
+
+        monkeypatch.setattr(FieldEchelon, "add", recording)
+        rng = random.Random(89)
+
+        def scalar():
+            if ring is QQ:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            return rng.randrange(7)
+
+        zero_rows, outcomes = 0, set()
+        for _ in range(200):
+            dim = rng.randint(1, 8)
+            zeros = set(rng.sample(range(dim), rng.randint(0, dim)))
+
+            def vector():
+                return [ring.zero() if i in zeros else scalar() for i in range(dim)]
+
+            gens = [vector() for _ in range(rng.randint(0, 5))]
+            if gens and rng.random() < 0.5:
+                target = [ring.zero()] * dim
+                for g in gens:
+                    c = scalar()
+                    target = [ring.add(t, ring.mul(c, x)) for t, x in zip(target, g)]
+            else:
+                target = vector()
+            added.clear()
+            got = _solve_field(target, gens, ring)
+            assert got == reference_solve_field(target, gens, ring)
+            assert all(any(row) for row in added), "a zero row was added"
+            zero_rows += sum(not any([g[i] for g in gens] + [target[i]]) for i in range(dim))
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+        assert zero_rows >= 200
