@@ -46,7 +46,7 @@ from .errors import InternalInconsistencyError, ResourceCapExceeded, Unsupported
 from .groebner import GroebnerBasis, membership_cofactors
 from .intmath import ext_gcd
 from .linalg import IntLattice, solve_in_span, span_structure
-from .monomials import Monomial, monomials_up_to_degree
+from .monomials import Monomial, _monomial, _trim, monomials_up_to_degree
 from .orderings import GrevLex, Lex, MonomialOrdering, ordering_from_text
 from .parsing import parse_elem, parse_ring_text
 from .polynomials import Polynomial, eval_poly, trailing_term
@@ -309,7 +309,7 @@ def _box_cells(radix: Sequence[int], top: int) -> list[Monomial]:
     """The monomials with x_j-degree < radix[j - 1] and total degree <= top,
     in Monomial.natural_key order: the only slots of a packed value that can
     be nonzero when top bounds its total degree."""
-    cells = (Monomial(enumerate(v, 1)) for v in product(*map(range, radix)) if sum(v) <= top)
+    cells = (_monomial(_trim(v)) for v in product(*map(range, radix)) if sum(v) <= top)
     return sorted(cells, key=Monomial.natural_key)
 
 

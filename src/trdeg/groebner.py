@@ -47,7 +47,10 @@ inter-reduction and QuotRing.reduce) runs one loop, _remainder, a sparse
 division that keeps the work as a term dict beside a heap of its monomials,
 greatest first (Johnson 1974; Monagan & Pearce 2007).  Each monomial's
 ordering key is computed once, when it enters the work, the leading term is
-a heap pop, and a reduction step touches only the divisor's terms.
+a heap pop, the scan for a divisor tests divisibility on the packed
+monomial codes inline (see monomials), and a reduction step touches only
+the divisor's terms.  An S-polynomial, and each entry of a tracked one's
+cofactor row, is built straight into one term dict (_spoly).
 normal_form and normal_form_with_quotients answer exactly on every basis:
 on an integral one, p's denominators are cleared on entry and the result is
 divided by the accumulated scale once at the end.
@@ -61,6 +64,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from . import monomials
 from .errors import InternalInconsistencyError
 from .monomials import Monomial, _quotient
 from .orderings import MonomialOrdering
@@ -120,6 +124,9 @@ def _remainder(
     every divisor used is monic."""
     key, add, mul, neg = ordering.key, field.add, field.mul, field.neg
     push, pop = heapq.heappush, heapq.heappop
+    # Divisibility on codes, as Monomial.divides tests it; the guard covers
+    # every field of every lead, all interned before this call.
+    guard = monomials._GUARD
     work = dict(p.terms)
     get = work.get
     heap = [_Greatest(key(m), m) for m in work]
@@ -131,8 +138,10 @@ def _remainder(
         lc = get(lm)
         if lc is None:
             continue
+        code = lm.code
         for i, glm in enumerate(leads):
-            if glm.divides(lm):
+            d = code - glm.code
+            if d >= 0 and not d & guard:
                 terms = divisors[i].terms
                 top = terms[glm]
                 if top != 1:
@@ -318,7 +327,7 @@ class GroebnerBasis:
                 if top_i != top_j:
                     d = math.gcd(top_i, top_j)
                     c_i, c_j = top_j // d, top_i // d
-            s = polys[i].mul_term(mon_i, c_i) - polys[j].mul_term(mon_j, c_j)
+            s = _spoly(polys[i], mon_i, c_i, polys[j], mon_j, c_j, self.field)
             if reps is None:
                 r = _remainder(s, *self._divisors, self.ordering, self.field)[0]
                 if r:
@@ -327,7 +336,7 @@ class GroebnerBasis:
             r, quots = _divide(s, *self._divisors, self.ordering, self.field)
             if r:
                 rep = [
-                    a.mul_term(mon_i, c_i) - b.mul_term(mon_j, c_j)
+                    _spoly(a, mon_i, c_i, b, mon_j, c_j, self.field)
                     for a, b in zip(reps[i], reps[j])
                 ]
                 self.append(r, _rep_minus(rep, quots, [reps[k] for k in self._active]))
@@ -350,6 +359,19 @@ class GroebnerBasis:
     def is_full(self) -> bool:
         """True when the ideal is the whole ring."""
         return any(lm.is_one() for lm in self.leads)
+
+
+def _spoly(
+    f: Polynomial, mon_f: Monomial, c_f, g: Polynomial, mon_g: Monomial, c_g, field
+) -> Polynomial:
+    """c_f * mon_f * f - c_g * mon_g * g, built in one term dict."""
+    add, mul, neg = field.add, field.mul, field.neg
+    terms = {m * mon_f: mul(c_f, v) for m, v in f.terms.items()}
+    for m, v in g.terms.items():
+        m = m * mon_g
+        c = neg(mul(c_g, v))
+        terms[m] = add(terms[m], c) if m in terms else c
+    return Polynomial(field, terms)
 
 
 def _primitive(g: Polynomial, lc) -> Polynomial:

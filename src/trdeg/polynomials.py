@@ -11,6 +11,8 @@ through the ring object, so coefficients may themselves be polynomials
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+
 from .monomials import ONE, Monomial
 
 
@@ -132,24 +134,21 @@ def eval_poly(f: Polynomial, args: list, algebra, scalar_map=None):
             f"polynomial uses x{f.max_var_index()} but only {len(args)} values given"
         )
 
-    # Power cache: monomial values reuse smaller powers of each argument.
-    powers: list[dict[int, object]] = [dict() for _ in args]
-
-    def arg_power(i: int, e: int):
-        cache = powers[i]
-        if e in cache:
-            return cache[e]
-        if e == 1:
-            v = args[i]
-        else:
-            v = algebra.mul(arg_power(i, e - 1), args[i])
-        cache[e] = v
-        return v
+    # Each argument's powers a, a^2, ..., up to its largest exponent in f,
+    # each the one below times a.
+    tops = [0] * len(args)
+    for mon in f.terms:
+        for i, e in enumerate(mon.vector):
+            if e > tops[i]:
+                tops[i] = e
+    mul = algebra.mul
+    powers = [list(accumulate(repeat(a, t - 1), mul, initial=a)) for a, t in zip(args, tops)]
 
     total = algebra.zero()
     for mon, coeff in sorted(f.terms.items(), key=lambda t: t[0].natural_key()):
         v = scalar_map(coeff)
-        for i, e in mon:
-            v = algebra.mul(v, arg_power(i - 1, e))
+        for row, e in zip(powers, mon.vector):
+            if e:
+                v = mul(v, row[e - 1])
         total = algebra.add(total, v)
     return total

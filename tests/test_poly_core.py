@@ -5,13 +5,15 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
-from trdeg.errors import TrdegError
+from trdeg import monomials
+from trdeg.errors import TrdegError, UnsupportedConfigError
 from trdeg.harness import _sample_scalar
 from trdeg.intmath import ext_gcd, is_probable_prime, modinv
-from trdeg.monomials import ONE, Monomial, compositions, monomials_up_to_degree
+from trdeg.monomials import ONE, Monomial, _quotient, compositions, monomials_up_to_degree
 from trdeg.polynomials import Polynomial, eval_poly, leading_term, trailing_term
 from trdeg.orderings import GrevLex, Lex
 from trdeg.rings import (
@@ -157,6 +159,75 @@ class TestMonomial:
             (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
         ]
         assert list(compositions(0, 2)) == [(0, 0)]
+
+
+class TestPackedCodes:
+    """Monomial codes pack the exponent of xi into bits 32*(i-1) .. 32*i - 1,
+    top bit a zero guard; the operations on codes match their definitions
+    on exponent tuples."""
+
+    LIMIT = 2**31
+
+    @staticmethod
+    def monomial(v):
+        return Monomial(enumerate(v, 1))
+
+    def test_operations_match_tuple_definitions(self):
+        rng = random.Random(34)
+        top = self.LIMIT - 1
+        for _ in range(2000):
+            n = rng.randint(0, 8)
+            # Small exponents, so divisibility often holds, or large ones up
+            # to the limit, kept below it in sums.
+            big = rng.random() < 0.3
+            draw = (lambda: rng.randint(0, top // 2)) if big else (lambda: rng.choice((0, 0, 1, 2, 3)))
+            u = tuple(draw() for _ in range(n))
+            v = tuple(draw() for _ in range(rng.randint(0, 8)))
+            a, b = self.monomial(u), self.monomial(v)
+            width = max(len(u), len(v))
+            u0, v0 = u + (0,) * (width - len(u)), v + (0,) * (width - len(v))
+            assert a.code == sum(e << 32 * i for i, e in enumerate(u))
+            assert a * b is self.monomial(tuple(map(add, u0, v0)))
+            assert a.lcm(b) is self.monomial(tuple(map(max, u0, v0)))
+            divides = all(x <= y for x, y in zip(u0, v0))
+            assert a.divides(b) == divides
+            if divides:
+                q = self.monomial(tuple(map(sub, v0, u0)))
+                assert b.div(a) is q and _quotient(b, a) is q
+            else:
+                with pytest.raises(ValueError):
+                    b.div(a)
+        edge = self.monomial((top, 0, top))
+        assert edge.divides(edge) and edge.lcm(ONE) is edge
+        assert edge.div(Monomial.var(3, top)) is Monomial.var(1, top)
+        assert not Monomial.var(1, top).divides(Monomial.var(1, top - 1) * Monomial.var(2))
+
+    def test_exponents_at_the_limit_are_refused(self):
+        half = Monomial.var(2, self.LIMIT // 2)
+        for build in [
+            lambda: half * half,
+            lambda: Monomial.var(1) * Monomial.var(2, self.LIMIT - 1) * Monomial.var(2),
+            lambda: Monomial.var(2, self.LIMIT),
+            lambda: Monomial([(2, self.LIMIT // 2), (2, self.LIMIT // 2)]),
+        ]:
+            with pytest.raises(UnsupportedConfigError, match=f"exponent {self.LIMIT} of x2"):
+                build()
+        with pytest.raises(UnsupportedConfigError, match=f"exponent {2**40} of x3"):
+            Monomial([(3, 2**40)])
+        assert issubclass(UnsupportedConfigError, TrdegError)
+        # A refused product interns nothing.
+        assert (half.code * 2) not in monomials._INTERNED
+
+    def test_guard_grows_with_the_longest_vector(self):
+        x70 = Monomial.var(70, 3)
+        assert monomials._GUARD.bit_length() >= 70 * 32
+        assert x70.code == 3 << 32 * 69 and x70.vector == (0,) * 69 + (3,)
+        x1 = Monomial.var(1)
+        assert not x70.divides(x1 * Monomial.var(70, 2)) and x70.divides(x1 * x70 * Monomial.var(70))
+        assert x70.lcm(x1 * Monomial.var(70, 5)).vector == (1,) + (0,) * 68 + (5,)
+        assert (x1 * x70).div(x1) is x70
+        with pytest.raises(UnsupportedConfigError, match="of x70"):
+            x70 * Monomial.var(70, self.LIMIT - 3)
 
 
 class TestPolynomial:

@@ -36,14 +36,20 @@ def test_no_assert_in_package():
 
 def test_monomials_are_built_only_through_the_intern_table():
     # Monomials compare by identity, which holds only while every one comes
-    # from monomials._monomial.  Outside monomials.py no module may allocate
-    # one with object.__new__, give the class an equality of its own, or
-    # subclass it.
+    # from the intern table of monomials.py, keyed by packed code.  Outside
+    # monomials.py no module may allocate one with object.__new__, give the
+    # class an equality of its own, subclass it, or assign a .code.
     found = []
     for path in sorted(Path(trdeg.__file__).parent.glob("*.py")):
         if path.name == "monomials.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and t.attr == "code":
+                            found.append(f"{path.name}:{node.lineno}: assigns .code")
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
